@@ -333,8 +333,8 @@ fn atomic_io(
                 "atomic-results-io",
                 "direct file write — results must go through a temp-file + rename helper \
                  (`mlscale_bench::emit`, `scenario::write_outcome`, \
-                 `scenario::ShardedStore::write_shard`) so interruption never \
-                 leaves a truncated JSON"
+                 `scenario::ShardedStore::write_shard`; inside the scenario crate, \
+                 `store::write_atomic`) so interruption never leaves a truncated JSON"
                     .to_string(),
             ));
         }

@@ -16,21 +16,20 @@
 //! full grid along each axis.
 //!
 //! Every point is evaluated by exactly the engine the exhaustive path
-//! uses ([`eval_pending`]), so an adaptive sweep's per-point results are
-//! bit-identical to the same points of an exhaustive sweep — the
-//! property tests compare the two frontiers' (cost, time) values on
-//! whole small grids. No randomness anywhere: batches are sorted index
-//! sets, so the evaluation trace is deterministic.
+//! uses ([`eval_points`](crate::run::eval_points)), so an adaptive
+//! sweep's per-point results are bit-identical to the same points of an
+//! exhaustive sweep — the property tests compare the two frontiers'
+//! (cost, time) values on whole small grids. No randomness anywhere:
+//! batches are sorted index sets, so the evaluation trace is
+//! deterministic.
 //!
 //! Objectives per point: time is the `time at optimum s` stat; cost is
 //! `cheapest cost` when the spec carries a provisioning plan, otherwise
 //! the `optimal n × time` proxy (node-seconds at the optimum — what an
 //! hourly price would multiply).
 
-use crate::run::{build_rollup, eval_pending, stat_of};
-use crate::spec::{
-    point_id_width, GridPoint, ResolvedWorkload, ScenarioSpec, SpecError, WorkloadSpec,
-};
+use crate::run::{build_rollup, eval_all, stat_of};
+use crate::spec::{point_id_width, GridPoint, ScenarioSpec, SpecError, WorkloadSpec};
 use mlscale_core::planner::pareto_frontier;
 use mlscale_core::straggler::OrderStatCachePool;
 use mlscale_workloads::ExperimentResult;
@@ -279,23 +278,8 @@ fn eval_batch(
     evaluated: &mut BTreeMap<usize, (GridPoint, ExperimentResult, (f64, f64))>,
 ) -> Result<(), SpecError> {
     let points: Vec<GridPoint> = batch.iter().map(|&i| spec.point_at(i, width)).collect();
-    let resolved: Vec<ResolvedWorkload> = points
-        .iter()
-        .map(|p| spec.resolve(p))
-        .collect::<Result<_, _>>()?;
-    let pending: Vec<usize> = (0..points.len()).collect();
-    let mut results: Vec<Option<ExperimentResult>> = vec![None; points.len()];
-    eval_pending(spec, &points, &resolved, pool, &pending, &mut |i, r| {
-        results[i] = Some(r);
-        Ok(())
-    })?;
+    let results = eval_all(spec, pool, &points)?;
     for ((index, point), result) in batch.iter().zip(points).zip(results) {
-        let result = result.ok_or_else(|| {
-            SpecError::new(
-                format!("sweep point {index}"),
-                "never evaluated — internal scheduling bug",
-            )
-        })?;
         let objectives = objectives_of(&result).ok_or_else(|| {
             SpecError::new(
                 format!("grid point {}", result.id),

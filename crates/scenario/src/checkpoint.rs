@@ -1,55 +1,60 @@
-//! Crash-safe sweeps: journal every completed grid point, resume later.
+//! Crash-safe sweeps: one journaled loop behind both result layouts.
 //!
-//! [`run_checkpointed`] is the durable sibling of
-//! [`run_pooled`](crate::run_pooled): instead of evaluating the whole
-//! grid in memory and writing files at the end, it writes each point's
-//! `<id>.json` atomically (temp file + rename) *as soon as it is
-//! evaluated* and records the completion in an append-only journal,
+//! [`run_checkpointed`] (one pretty-printed `<id>.json` per grid point)
+//! and [`run_sharded`] (NDJSON shards, see [`crate::store`]) are the
+//! durable siblings of [`run_pooled`](crate::run_pooled): instead of
+//! evaluating the whole grid in memory and writing files at the end,
+//! they publish each *unit* — one point, or one shard of points —
+//! atomically (temp file + rename) as soon as its last record is
+//! evaluated, and record it in an append-only journal,
 //! `<dir>/<name>.manifest`:
 //!
 //! ```text
-//! mlscale sweep journal v1
+//! mlscale sweep journal v2
 //! spec 9f3a6c21d4b07e58
-//! point latency-grid-p000
-//! point latency-grid-p001
+//! layout per-point
+//! unit 0 1 5210
+//! unit 1 1 5214
 //! …
 //! ```
 //!
-//! The `spec` line is an FNV-1a fingerprint of the fully-parsed scenario,
-//! so a resume against an edited spec is refused with a named
+//! The `spec` line is an FNV-1a fingerprint of the fully-parsed scenario
+//! and the `layout` line is `per-point` or `shards S`, so a resume
+//! against an edited spec or across layouts is refused with a named
 //! diagnostic instead of silently mixing results from two different
-//! grids. On `resume = true` every journaled point whose file still
-//! round-trips byte-identically is reused; everything else (missing
-//! files, torn manifest tail lines, files that no longer re-serialise to
-//! their own bytes) is re-evaluated. Because evaluation is deterministic
-//! and the shared order-statistic caches only memoise pure quadratures,
-//! a resumed sweep's points and roll-up are **byte-identical** to an
-//! uninterrupted run — property-tested in this module and crash-tested
-//! for real (the process killed at an injected fault point) in
-//! `tests/crash_resume.rs`.
+//! grids. Each `unit <k> <records> <bytes>` line records one published
+//! unit. On `resume = true` every journaled unit whose file verifies
+//! exactly — byte length, record count, expected ids, every record
+//! re-encoding to its own bytes — is reused; everything else (missing
+//! files, a torn journal tail, tampered files) is re-evaluated. Units are
+//! journaled in evaluation order and the finished journal is rewritten in
+//! grid order. Because evaluation is deterministic and the shared
+//! order-statistic caches only memoise pure quadratures, a resumed
+//! sweep's directory — units, roll-up and journal — is **byte-identical**
+//! to an uninterrupted run: property-tested in this module and
+//! crash-tested for real (the process killed at an injected fault point)
+//! in `tests/crash_resume.rs`.
 //!
-//! Two [`mlscale_core::faultpoint`] hooks thread through the write path:
-//! `sweep.write_point` between a point's temp-file write and its rename
-//! (a kill there leaves only a `.tmp`, never a torn JSON) and
-//! `sweep.after_point` after a completion is journaled.
+//! Two [`mlscale_core::faultpoint`] hooks per layout thread through the
+//! write path: `sweep.write_point` / `sweep.write_shard` between a unit's
+//! temp-file write and its rename (a kill there leaves only a `.tmp`,
+//! never a torn file) and `sweep.after_point` / `sweep.after_shard` after
+//! the unit is journaled.
 
 use crate::run::{
-    build_rollup, build_rollup_from, clean_stale_points, eval_pending, expected_point_ids,
-    summarize_point, PointSummary, SweepOutcome,
+    all_evaluated, build_rollup_from, eval_points, summarize_point, PointSummary, SweepOutcome,
 };
-use crate::spec::{
-    point_id_width, GridPoint, ResolvedWorkload, ScenarioSpec, SpecError, WorkloadSpec,
-};
-use crate::store::{self, ShardedStore};
+use crate::spec::{point_id_width, GridPoint, ScenarioSpec, SpecError, WorkloadSpec};
+use crate::store::{self, Layout, ShardedStore};
 use mlscale_core::faultpoint;
 use mlscale_core::straggler::OrderStatCachePool;
 use mlscale_workloads::ExperimentResult;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// First line of every journal this version reads or writes.
-const MANIFEST_VERSION: &str = "mlscale sweep journal v1";
+const MANIFEST_VERSION: &str = "mlscale sweep journal v2";
 
 /// What a checkpointed sweep produced.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,113 +68,34 @@ pub struct CheckpointedSweep {
     pub resumed: usize,
 }
 
-/// Runs a sweep with per-point checkpointing into `dir` (a fresh
-/// order-statistic cache pool; see [`run_checkpointed_pooled`]).
+/// Runs a sweep with per-point checkpointing into `dir`.
+///
+/// With `resume = false` any previous journal for this scenario is
+/// discarded and every point evaluated. With `resume = true` the journal
+/// in `dir` is required (a missing one is a named error, not a silent
+/// fresh start) and verified-complete points are skipped. The pending
+/// points are evaluated as one batch: deterministic points share one
+/// parallel fan-out, stochastic points one order-statistic cache per
+/// delay distribution.
 pub fn run_checkpointed(
     spec: &ScenarioSpec,
     dir: &Path,
     resume: bool,
 ) -> Result<CheckpointedSweep, SpecError> {
-    run_checkpointed_pooled(spec, &OrderStatCachePool::new(), dir, resume)
-}
-
-/// [`run_checkpointed`] with a caller-owned cache pool.
-///
-/// With `resume = false` any previous journal for this scenario is
-/// discarded and every point evaluated. With `resume = true` the journal
-/// in `dir` is required (a missing one is a named error, not a silent
-/// fresh start) and verified-complete points are skipped.
-pub fn run_checkpointed_pooled(
-    spec: &ScenarioSpec,
-    pool: &OrderStatCachePool,
-    dir: &Path,
-    resume: bool,
-) -> Result<CheckpointedSweep, SpecError> {
     let grid = spec.expand()?;
-    let resolved: Vec<ResolvedWorkload> = grid
-        .iter()
-        .map(|p| spec.resolve(p))
-        .collect::<Result<_, _>>()?;
-    let ids = expected_point_ids(spec, &grid);
-    let fingerprint = spec_fingerprint(spec);
-    let manifest = manifest_path(dir, &spec.name);
-    std::fs::create_dir_all(dir).map_err(|e| io_spec_error(dir, "cannot create", &e))?;
-
-    let mut results: Vec<Option<ExperimentResult>> = if resume {
-        restore(dir, &manifest, fingerprint, &ids)?
-    } else {
-        vec![None; ids.len()]
-    };
-    let resumed = results.iter().filter(|r| r.is_some()).count();
-
-    // (Re)write the manifest: header plus one line per verified-complete
-    // point. On a fresh run this truncates any stale journal; on resume
-    // it compacts duplicates and drops any torn tail line.
-    let restored_ids: Vec<&str> = ids
-        .iter()
-        .zip(&results)
-        .filter_map(|(id, r)| r.is_some().then_some(id.as_str()))
-        .collect();
-    write_manifest(&manifest, fingerprint, &restored_ids)
-        .map_err(|e| io_spec_error(&manifest, "cannot write", &e))?;
-
-    let pending: Vec<usize> = results
-        .iter()
-        .enumerate()
-        .filter_map(|(i, r)| r.is_none().then_some(i))
-        .collect();
-    {
-        let mut record = |i: usize, result: ExperimentResult| -> Result<(), SpecError> {
-            write_point(dir, &result).map_err(|e| io_spec_error(dir, "cannot write point", &e))?;
-            append_point(&manifest, &result.id)
-                .map_err(|e| io_spec_error(&manifest, "cannot append", &e))?;
-            faultpoint::hit(faultpoint::points::SWEEP_AFTER_POINT)
-                .map_err(|f| SpecError::new("sweep", f.to_string()))?;
-            results[i] = Some(result);
-            Ok(())
-        };
-        eval_pending(spec, &grid, &resolved, pool, &pending, &mut record)?;
-    }
-
-    let points: Vec<ExperimentResult> = results
-        .into_iter()
-        .enumerate()
-        .map(|(i, r)| {
-            r.ok_or_else(|| {
-                SpecError::new(
-                    format!("sweep point {i}"),
-                    "never evaluated — internal scheduling bug",
-                )
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let rollup = build_rollup(spec, &grid, &points);
-    write_point(dir, &rollup).map_err(|e| io_spec_error(dir, "cannot write roll-up", &e))?;
-
-    // The directory now reflects exactly this grid: stale points from a
-    // previous larger run, orphaned temp files (including any a crash
-    // at sweep.write_point left behind) and shards from a previous
-    // sharded run of this scenario are removed.
-    let fresh: HashSet<String> = ids.iter().map(|id| format!("{id}.json")).collect();
-    clean_stale_points(dir, &spec.name, &fresh)
-        .map_err(|e| io_spec_error(dir, "cannot clean stale points in", &e))?;
-    store::clean_stale_shards(dir, &spec.name, &HashSet::new())
-        .map_err(|e| io_spec_error(dir, "cannot clean stale shards in", &e))?;
-
-    let mut paths: Vec<PathBuf> = ids
-        .iter()
-        .map(|id| dir.join(format!("{id}.json")))
-        .collect();
-    paths.push(dir.join(format!("{}.json", rollup.id)));
+    let mut points = vec![None; grid.len()];
+    let swept = run_journaled(spec, dir, resume, Layout::PerPoint, &mut |slot, result| {
+        points[slot] = Some(result);
+    })?;
     Ok(CheckpointedSweep {
         outcome: SweepOutcome {
             name: spec.name.clone(),
             grid,
-            points,
-            rollup,
+            points: all_evaluated(points)?,
+            rollup: swept.rollup,
         },
-        paths,
-        resumed,
+        paths: swept.paths,
+        resumed: swept.resumed,
     })
 }
 
@@ -197,29 +123,14 @@ pub struct ShardedSweep {
 }
 
 /// Runs a sweep through the sharded store with per-shard checkpointing
-/// into `dir` (fresh cache pool; see [`run_sharded_pooled`]).
+/// into `dir`, for grids past the per-point-file threshold: grid points
+/// are generated lazily (never materialising the cross product),
+/// evaluated one shard at a time on one cache pool, and published as
+/// atomic NDJSON shards of `shard_size` records. A resumed sweep reuses
+/// whole verified shards — the same byte-identity promise the per-point
+/// layout makes, at shard granularity.
 pub fn run_sharded(
     spec: &ScenarioSpec,
-    dir: &Path,
-    resume: bool,
-    shard_size: usize,
-) -> Result<ShardedSweep, SpecError> {
-    run_sharded_pooled(spec, &OrderStatCachePool::new(), dir, resume, shard_size)
-}
-
-/// The streaming sibling of [`run_checkpointed_pooled`] for grids past
-/// the per-point-file threshold: grid points are generated lazily
-/// (never materialising the cross product), evaluated one shard-sized
-/// chunk at a time, and published as atomic NDJSON shards
-/// (`crate::store`). The journal records one `shard <k> <records>
-/// <bytes>` line per published shard; on `resume = true` every journaled
-/// shard that verifies byte-exactly is reused whole and everything else
-/// is re-evaluated, so a resumed sweep's shards and roll-up are
-/// byte-identical to an uninterrupted run — the same promise the
-/// per-point path makes, at shard granularity.
-pub fn run_sharded_pooled(
-    spec: &ScenarioSpec,
-    pool: &OrderStatCachePool,
     dir: &Path,
     resume: bool,
     shard_size: usize,
@@ -230,132 +141,173 @@ pub fn run_sharded_pooled(
             "exhibit scenarios are single-point — the sharded store only serves gd/bp grids",
         ));
     }
-    let shard_size = shard_size.max(1);
-    let total = spec.grid_len()?;
-    let width = point_id_width(total);
-    let shards = store::shard_count(total, shard_size);
-    let fingerprint = spec_fingerprint(spec);
-    let manifest = manifest_path(dir, &spec.name);
-    std::fs::create_dir_all(dir).map_err(|e| io_spec_error(dir, "cannot create", &e))?;
-    let mut sharded = ShardedStore::new(dir, &spec.name, shard_size);
-
-    // Which journaled shards survive strict verification: byte length
-    // matches the journal, every record re-serialises to itself under
-    // the grid's expected id. Restored points are summarised one shard
-    // at a time — memory stays bounded by one shard throughout.
-    let chunk_points = |k: usize| -> Vec<GridPoint> {
-        let lo = k * shard_size;
-        let hi = (lo + shard_size).min(total);
-        (lo..hi).map(|slot| spec.point_at(slot, width)).collect()
-    };
-    let mut summaries: Vec<Option<PointSummary>> = vec![None; total];
-    let mut verified: Vec<Option<(usize, u64)>> = vec![None; shards];
-    let mut resumed = 0;
-    if resume {
-        let journaled = restore_shards(&manifest, fingerprint, shard_size, shards)?;
-        for (k, meta) in journaled.into_iter().enumerate() {
-            let Some((records, bytes)) = meta else {
-                continue;
-            };
-            let points = chunk_points(k);
-            if records != points.len() {
-                continue; // journal disagrees with the grid: re-evaluate
-            }
-            let ids: Vec<String> = points.iter().map(|p| p.id.clone()).collect();
-            if let Some(results) = sharded.read_verified_shard(k, &ids, bytes) {
-                for (offset, (point, result)) in points.iter().zip(&results).enumerate() {
-                    summaries[k * shard_size + offset] = Some(summarize_point(point, result));
-                }
-                verified[k] = Some((records, bytes));
-                resumed += records;
-            }
-        }
-    }
-
-    // (Re)write the manifest: header, the pinned shard size, one line per
-    // verified shard. On a fresh run this truncates any stale journal.
-    write_shard_manifest(&manifest, fingerprint, shard_size, &verified)
-        .map_err(|e| io_spec_error(&manifest, "cannot write", &e))?;
-
-    // Evaluate the incomplete shards chunk by chunk: each chunk resolves
-    // its own points, buffers at most one shard of encoded records, and
-    // publishes atomically before the next chunk starts. Evaluation is
-    // deterministic and the shared caches memoise pure quadratures, so
-    // chunked results are bit-identical to a whole-grid pass.
-    for k in 0..shards {
-        if verified[k].is_some() {
-            continue;
-        }
-        let points = chunk_points(k);
-        let resolved: Vec<ResolvedWorkload> = points
-            .iter()
-            .map(|p| spec.resolve(p))
-            .collect::<Result<_, _>>()?;
-        let pending: Vec<usize> = (0..points.len()).collect();
-        let mut chunk_summaries: Vec<Option<PointSummary>> = vec![None; points.len()];
-        {
-            let sharded = &mut sharded;
-            let mut record = |i: usize, result: ExperimentResult| -> Result<(), SpecError> {
-                sharded
-                    .buffer(i, &result)
-                    .map_err(|e| io_spec_error(dir, "cannot buffer point for", &e))?;
-                chunk_summaries[i] = Some(summarize_point(&points[i], &result));
-                Ok(())
-            };
-            eval_pending(spec, &points, &resolved, pool, &pending, &mut record)?;
-        }
-        let bytes = sharded
-            .write_shard(k, points.len())
-            .map_err(|e| io_spec_error(dir, "cannot write shard in", &e))?;
-        append_shard(&manifest, k, points.len(), bytes)
-            .map_err(|e| io_spec_error(&manifest, "cannot append", &e))?;
-        faultpoint::hit(faultpoint::points::SWEEP_AFTER_SHARD)
-            .map_err(|f| SpecError::new("sweep", f.to_string()))?;
-        for (offset, summary) in chunk_summaries.into_iter().enumerate() {
-            summaries[k * shard_size + offset] = summary;
-        }
-    }
-
-    let summaries: Vec<PointSummary> = summaries
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| {
-            s.ok_or_else(|| {
-                SpecError::new(
-                    format!("sweep point {i}"),
-                    "never evaluated — internal scheduling bug",
-                )
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let rollup = build_rollup_from(spec, &summaries);
-    write_point(dir, &rollup).map_err(|e| io_spec_error(dir, "cannot write roll-up", &e))?;
-
-    // Sharded layout is authoritative: per-point files of this scenario
-    // (from a previous per-point run), shards beyond the current count
-    // and orphaned temp files are all stale.
-    clean_stale_points(dir, &spec.name, &HashSet::new())
-        .map_err(|e| io_spec_error(dir, "cannot clean stale points in", &e))?;
-    let fresh: HashSet<String> = (0..shards)
-        .map(|k| store::shard_file_name(&spec.name, k))
-        .collect();
-    store::clean_stale_shards(dir, &spec.name, &fresh)
-        .map_err(|e| io_spec_error(dir, "cannot clean stale shards in", &e))?;
-
-    let mut paths: Vec<PathBuf> = (0..shards).map(|k| sharded.shard_path(k)).collect();
-    paths.push(dir.join(format!("{}.json", rollup.id)));
+    let layout = Layout::Shards(shard_size.max(1));
+    let swept = run_journaled(spec, dir, resume, layout, &mut |_, _| {})?;
     Ok(ShardedSweep {
         name: spec.name.clone(),
+        grid_points: swept.grid_points,
+        shards: swept.paths.len() - 1,
+        rollup: swept.rollup,
+        paths: swept.paths,
+        resumed: swept.resumed,
+    })
+}
+
+/// What the journaled loop hands back to its two wrappers.
+struct Swept {
+    grid_points: usize,
+    rollup: ExperimentResult,
+    /// Unit paths in grid order, roll-up path last.
+    paths: Vec<PathBuf>,
+    resumed: usize,
+}
+
+/// The one journaled sweep loop: restore the journal's verified units,
+/// evaluate the rest on one cache pool — every pending point in one
+/// batch for the per-point layout, one shard per batch otherwise, so at
+/// most one shard of records is ever buffered — publish and journal each
+/// unit as its last record lands, then rewrite the journal in grid
+/// order, write the roll-up and clean stale files. Only point summaries
+/// are held for the roll-up; `keep` sees every point's full result
+/// (restored or evaluated) by grid slot.
+fn run_journaled(
+    spec: &ScenarioSpec,
+    dir: &Path,
+    resume: bool,
+    layout: Layout,
+    keep: &mut dyn FnMut(usize, ExperimentResult),
+) -> Result<Swept, SpecError> {
+    let total = spec.grid_len()?;
+    let width = point_id_width(total);
+    let size = layout.unit_size();
+    let units = total.div_ceil(size);
+    let unit_points = |k: usize| -> Vec<GridPoint> {
+        (k * size..((k + 1) * size).min(total))
+            .map(|slot| spec.point_at(slot, width))
+            .collect()
+    };
+    // Gd/bp results are named by the grid; an exhibit keeps its binary's
+    // own id (one point, byte-identical to the golden fixture).
+    let id_of = |point: &GridPoint| match &spec.workload {
+        WorkloadSpec::Exhibit(ex) => ex.id.clone(),
+        _ => point.id.clone(),
+    };
+    let unit_path = |k: usize| {
+        let first = spec.point_at(k * size, width);
+        dir.join(layout.file_name(&spec.name, k, &id_of(&first)))
+    };
+    let manifest = manifest_path(dir, &spec.name);
+    let fingerprint = spec_fingerprint(spec);
+    std::fs::create_dir_all(dir).map_err(|e| io_spec_error(dir, "cannot create", &e))?;
+
+    let mut done: Vec<Option<(usize, u64)>> = vec![None; units];
+    let mut summaries: Vec<Option<PointSummary>> = vec![None; total];
+    if resume {
+        let journaled = read_journal(&manifest, fingerprint, layout, total)?;
+        for (k, unit) in journaled.into_iter().enumerate() {
+            let Some(unit) = unit else {
+                continue;
+            };
+            let points = unit_points(k);
+            let ids: Vec<String> = points.iter().map(id_of).collect();
+            let Some(results) = store::verified_unit(&unit_path(k), layout, &ids, unit) else {
+                continue; // missing, torn or tampered: re-evaluate the unit
+            };
+            for (point, result) in points.iter().zip(results) {
+                summaries[point.index] = Some(summarize_point(point, &result));
+                keep(point.index, result);
+            }
+            done[k] = Some(unit);
+        }
+    }
+    let resumed = done.iter().flatten().map(|&(records, _)| records).sum();
+
+    let pending: Vec<usize> = (0..units).filter(|&k| done[k].is_none()).collect();
+    if !pending.is_empty() {
+        // Restart the journal from the verified units: a fresh run
+        // truncates any stale journal, a resume drops torn or unverified
+        // lines before new ones are appended.
+        write_journal(&manifest, fingerprint, layout, &done)?;
+    }
+    let batch_units = match layout {
+        Layout::PerPoint => pending.len().max(1),
+        Layout::Shards(_) => 1,
+    };
+    let (write_fault, after_fault) = layout.fault_points();
+    let mut store = ShardedStore::with_layout(dir, &spec.name, layout);
+    let pool = OrderStatCachePool::new();
+    for batch in pending.chunks(batch_units) {
+        let points: Vec<GridPoint> = batch.iter().flat_map(|&k| unit_points(k)).collect();
+        let mut arrived = 0;
+        eval_points(spec, &pool, &points, &mut |i, result| {
+            let point = &points[i];
+            let k = point.index / size;
+            store
+                .buffer(point.index % size, &result)
+                .map_err(|e| io_spec_error(dir, "cannot buffer a point for", &e))?;
+            summaries[point.index] = Some(summarize_point(point, &result));
+            keep(point.index, result);
+            // Units never interleave within a batch (a per-point unit is
+            // one record, a sharded batch one shard): publish on the last.
+            arrived += 1;
+            let records = size.min(total - k * size);
+            if arrived < records {
+                return Ok(());
+            }
+            arrived = 0;
+            let path = unit_path(k);
+            let bytes = store
+                .publish(&path, records, write_fault)
+                .map_err(|e| io_spec_error(&path, "cannot write", &e))?;
+            append_unit(&manifest, k, records, bytes)
+                .map_err(|e| io_spec_error(&manifest, "cannot append to", &e))?;
+            faultpoint::hit(after_fault).map_err(|f| SpecError::new("sweep", f.to_string()))?;
+            done[k] = Some((records, bytes));
+            Ok(())
+        })?;
+    }
+    let summaries = all_evaluated(summaries)?;
+    // Units were journaled in evaluation order (deterministic points
+    // first); listing them in grid order makes a resumed sweep's journal
+    // byte-identical to an uninterrupted one's.
+    write_journal(&manifest, fingerprint, layout, &done)?;
+
+    // The roll-up is a pretty `<id>.json` in both layouts, written with
+    // the per-point fault hook.
+    let rollup = build_rollup_from(spec, &summaries);
+    let rollup_path = dir.join(format!("{}.json", rollup.id));
+    Layout::PerPoint
+        .encode(&rollup)
+        .and_then(|json| {
+            store::write_atomic(
+                &rollup_path,
+                &json,
+                Some(faultpoint::points::SWEEP_WRITE_POINT),
+            )
+        })
+        .map_err(|e| io_spec_error(&rollup_path, "cannot write", &e))?;
+
+    // The directory now reflects exactly this grid and layout: results
+    // beyond a shrunk grid, the other layout's files and orphaned temp
+    // files (including any a crash mid-write left behind) are removed.
+    let mut paths: Vec<PathBuf> = (0..units).map(unit_path).collect();
+    let fresh: HashSet<String> = paths
+        .iter()
+        .filter_map(|p| Some(p.file_name()?.to_str()?.to_string()))
+        .collect();
+    store::clean_stale(dir, &spec.name, &fresh)
+        .map_err(|e| io_spec_error(dir, "cannot clean stale results in", &e))?;
+    paths.push(rollup_path);
+    Ok(Swept {
         grid_points: total,
-        shards,
         rollup,
         paths,
         resumed,
     })
 }
 
-/// `<dir>/<name>.manifest` — never matches the `<name>-pNNN.json` point
-/// pattern, so stale-point cleanup leaves the journal alone.
+/// `<dir>/<name>.manifest` — never matches a result-file pattern, so
+/// stale-file cleanup leaves the journal alone.
 fn manifest_path(dir: &Path, name: &str) -> PathBuf {
     dir.join(format!("{name}.manifest"))
 }
@@ -378,232 +330,131 @@ fn io_spec_error(path: &Path, what: &str, e: &std::io::Error) -> SpecError {
     SpecError::new("sweep", format!("{what} {}: {e}", path.display()))
 }
 
-/// Atomically writes one result as `<id>.json` (temp file + rename),
-/// with the `sweep.write_point` fault point between the two steps — a
-/// crash there leaves only the `.tmp`, never a torn JSON.
-fn write_point(dir: &Path, result: &ExperimentResult) -> std::io::Result<PathBuf> {
-    let path = dir.join(format!("{}.json", result.id));
-    let tmp = dir.join(format!("{}.json.tmp", result.id));
-    let json = serde_json::to_string_pretty(result).map_err(std::io::Error::other)?;
-    // lint: allow(atomic-results-io): this is the temp-file half of the rename pattern
-    std::fs::write(&tmp, json)?;
-    faultpoint::hit(faultpoint::points::SWEEP_WRITE_POINT)?;
-    std::fs::rename(&tmp, &path)?;
-    Ok(path)
+fn unit_line(k: usize, records: usize, bytes: u64) -> String {
+    format!("unit {k} {records} {bytes}\n")
 }
 
-/// Atomically rewrites the whole manifest (header + completed lines).
-fn write_manifest(path: &Path, fingerprint: u64, completed: &[&str]) -> std::io::Result<()> {
-    let mut text = format!("{MANIFEST_VERSION}\nspec {fingerprint:016x}\n");
-    for id in completed {
-        text.push_str("point ");
-        text.push_str(id);
-        text.push('\n');
+/// Atomically rewrites the whole journal: header, then one line per
+/// completed unit in grid order.
+fn write_journal(
+    path: &Path,
+    fingerprint: u64,
+    layout: Layout,
+    done: &[Option<(usize, u64)>],
+) -> Result<(), SpecError> {
+    let mut text = format!("{MANIFEST_VERSION}\nspec {fingerprint:016x}\nlayout {layout}\n");
+    for (k, unit) in done.iter().enumerate() {
+        if let Some((records, bytes)) = unit {
+            text.push_str(&unit_line(k, *records, *bytes));
+        }
     }
-    let tmp = path.with_extension("manifest.tmp");
-    // lint: allow(atomic-results-io): this is the temp-file half of the rename pattern
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path)
+    store::write_atomic(path, &text, None)
+        .map(drop)
+        .map_err(|e| io_spec_error(path, "cannot write", &e))
 }
 
 /// Appends one completion line to the journal. This is the one
 /// deliberately non-atomic write in the sweep path: a crash mid-append
-/// can tear the *last line only*, and [`restore`] discards a torn tail
-/// (the point is simply re-evaluated), so durability is never worse than
-/// losing the most recent completion record.
-fn append_point(path: &Path, id: &str) -> std::io::Result<()> {
-    // lint: allow(atomic-results-io): append-only journal — a torn tail line is detected and re-evaluated on resume; the results JSON itself goes through temp+rename
+/// can tear the *last line only*, and [`read_journal`] discards a torn
+/// tail (the unit is simply re-evaluated), so durability is never worse
+/// than losing the most recent completion record.
+fn append_unit(path: &Path, k: usize, records: usize, bytes: u64) -> std::io::Result<()> {
+    // lint: allow(atomic-results-io): append-only journal — a torn tail line is detected and re-evaluated on resume; the results themselves go through temp+rename
     let mut file = std::fs::OpenOptions::new().append(true).open(path)?;
-    file.write_all(format!("point {id}\n").as_bytes())?;
+    file.write_all(unit_line(k, records, bytes).as_bytes())?;
     file.flush()
 }
 
-/// Reads the journal, checks its version line and spec fingerprint, and
-/// returns the body lines with any torn tail (crash mid-append) already
-/// dropped — shared by the per-point and sharded restore paths.
-fn manifest_body(manifest: &Path, fingerprint: u64) -> Result<Vec<String>, SpecError> {
+/// The one journal reader: checks the version line, the spec fingerprint
+/// and the layout — each mismatch refused by name at `--resume` — and
+/// returns, per unit of this grid, the journaled `(records, bytes)`. A
+/// torn tail line (a crash mid-append) and malformed lines are dropped;
+/// those units are simply re-evaluated.
+fn read_journal(
+    manifest: &Path,
+    fingerprint: u64,
+    layout: Layout,
+    total: usize,
+) -> Result<Vec<Option<(usize, u64)>>, SpecError> {
+    let refuse = |message: String| SpecError::new("--resume", message);
     let text = match std::fs::read_to_string(manifest) {
         Ok(text) => text,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Err(SpecError::new(
-                "--resume",
-                format!(
-                    "no sweep journal at {} — run `mlscale sweep` without --resume first",
-                    manifest.display()
-                ),
-            ))
+            return Err(refuse(format!(
+                "no sweep journal at {} — run `mlscale sweep` without --resume first",
+                manifest.display()
+            )))
         }
         Err(e) => return Err(io_spec_error(manifest, "cannot read", &e)),
     };
     let mut lines = text.lines();
     if lines.next() != Some(MANIFEST_VERSION) {
-        return Err(SpecError::new(
-            "--resume",
-            format!(
-                "{} is not a sweep journal this version understands (expected {MANIFEST_VERSION:?} on line 1)",
-                manifest.display()
-            ),
-        ));
+        return Err(refuse(format!(
+            "{} is not a sweep journal this version understands (expected {MANIFEST_VERSION:?} \
+             on line 1) — rerun without --resume to start over",
+            manifest.display()
+        )));
     }
-    let journaled = lines
+    let corrupt = |what: &str| {
+        refuse(format!(
+            "{} is missing its {what} line — journal corrupt, rerun without --resume",
+            manifest.display()
+        ))
+    };
+    let journal_spec = lines
         .next()
         .and_then(|l| l.strip_prefix("spec "))
-        .and_then(|hex| u64::from_str_radix(hex.trim(), 16).ok())
-        .ok_or_else(|| {
-            SpecError::new(
-                "--resume",
-                format!(
-                    "{} is missing its spec fingerprint line — journal corrupt, rerun without --resume",
-                    manifest.display()
-                ),
-            )
-        })?;
-    if journaled != fingerprint {
-        return Err(SpecError::new(
-            "--resume",
-            format!(
-                "the scenario changed since this journal was written (spec fingerprint \
-                 {fingerprint:016x}, journal has {journaled:016x}) — a resumed sweep would mix \
-                 results from two different grids; rerun without --resume to start over"
-            ),
-        ));
+        .and_then(|hex| u64::from_str_radix(hex, 16).ok())
+        .ok_or_else(|| corrupt("spec fingerprint"))?;
+    if journal_spec != fingerprint {
+        return Err(refuse(format!(
+            "the scenario changed since this journal was written (spec fingerprint \
+             {fingerprint:016x}, journal has {journal_spec:016x}) — a resumed sweep would mix \
+             results from two different grids; rerun without --resume to start over"
+        )));
     }
-    let mut body: Vec<String> = text.lines().skip(2).map(str::to_string).collect();
+    let written = lines
+        .next()
+        .and_then(|l| l.strip_prefix("layout "))
+        .and_then(Layout::parse)
+        .ok_or_else(|| corrupt("layout"))?;
+    if written != layout {
+        let units = |l: Layout| match l {
+            Layout::PerPoint => "one file per point".to_string(),
+            Layout::Shards(size) => format!("{size} records per shard"),
+        };
+        let (kind, flag) = match written {
+            Layout::PerPoint => ("per-point", total),
+            Layout::Shards(size) => ("sharded", size),
+        };
+        return Err(refuse(format!(
+            "{} is a {kind} sweep journal ({}), but this run writes {} — unit boundaries would \
+             not line up; rerun without --resume to start over, or resume with \
+             --per-point-max {flag}",
+            manifest.display(),
+            units(written),
+            units(layout)
+        )));
+    }
+    let mut body: Vec<&str> = lines.collect();
     if !text.ends_with('\n') {
         body.pop(); // torn tail line from a crash mid-append: re-evaluate
     }
-    Ok(body)
-}
-
-/// Loads the journal and returns, per point slot, the restored result if
-/// its completion line and on-disk file both check out.
-fn restore(
-    dir: &Path,
-    manifest: &Path,
-    fingerprint: u64,
-    ids: &[String],
-) -> Result<Vec<Option<ExperimentResult>>, SpecError> {
-    let index_of: HashMap<&str, usize> = ids
-        .iter()
-        .enumerate()
-        .map(|(i, id)| (id.as_str(), i))
-        .collect();
-    let mut restored: Vec<Option<ExperimentResult>> = vec![None; ids.len()];
-    for line in manifest_body(manifest, fingerprint)? {
-        let Some(id) = line.strip_prefix("point ") else {
-            continue; // unknown journal line: ignore, never trust it
-        };
-        let Some(&i) = index_of.get(id) else {
-            continue; // not a point of this grid (corruption): re-evaluate
-        };
-        restored[i] = verified_point(dir, id);
-    }
-    Ok(restored)
-}
-
-/// Loads a sharded journal and returns, per shard index, the journaled
-/// `(records, bytes)` of every completed shard. The journal must have
-/// been written by the sharded path at the same shard size — the grid
-/// slots a shard covers depend on it, so resuming across a shard-size
-/// change (or from a per-point journal) is refused with instructions
-/// rather than silently mixing layouts.
-fn restore_shards(
-    manifest: &Path,
-    fingerprint: u64,
-    shard_size: usize,
-    shards: usize,
-) -> Result<Vec<Option<(usize, u64)>>, SpecError> {
-    let body = manifest_body(manifest, fingerprint)?;
-    let journaled_size = body
-        .iter()
-        .find_map(|line| line.strip_prefix("shard-size "))
-        .and_then(|s| s.trim().parse::<usize>().ok());
-    match journaled_size {
-        None => {
-            return Err(SpecError::new(
-                "--resume",
-                format!(
-                    "{} is a per-point sweep journal, but this grid streams through the sharded \
-                     store — rerun without --resume to start a sharded sweep",
-                    manifest.display()
-                ),
-            ))
-        }
-        Some(journaled) if journaled != shard_size => {
-            return Err(SpecError::new(
-                "--resume",
-                format!(
-                    "this journal was written with {journaled} records per shard, but the \
-                     current run uses {shard_size} — shard boundaries would not line up; rerun \
-                     without --resume or pass --per-point-max {journaled}"
-                ),
-            ))
-        }
-        Some(_) => {}
-    }
-    let mut restored: Vec<Option<(usize, u64)>> = vec![None; shards];
+    let mut journaled = vec![None; total.div_ceil(layout.unit_size())];
     for line in body {
-        let Some(rest) = line.strip_prefix("shard ") else {
-            continue; // unknown journal line: ignore, never trust it
+        let fields: Vec<&str> = line.split(' ').collect();
+        let ["unit", k, records, bytes] = fields[..] else {
+            continue; // unknown or malformed line: ignore, never trust it
         };
-        let mut fields = rest.split_ascii_whitespace();
-        let (Some(k), Some(records), Some(bytes), None) = (
-            fields.next().and_then(|f| f.parse::<usize>().ok()),
-            fields.next().and_then(|f| f.parse::<usize>().ok()),
-            fields.next().and_then(|f| f.parse::<u64>().ok()),
-            fields.next(),
-        ) else {
-            continue; // malformed line (corruption): re-evaluate that shard
-        };
-        if k < shards {
-            restored[k] = Some((records, bytes));
+        if let (Ok(k), Ok(records), Ok(bytes)) =
+            (k.parse::<usize>(), records.parse(), bytes.parse())
+        {
+            if let Some(unit) = journaled.get_mut(k) {
+                *unit = Some((records, bytes));
+            }
         }
     }
-    Ok(restored)
-}
-
-/// Atomically rewrites a sharded journal (header, shard size, one line
-/// per verified shard).
-fn write_shard_manifest(
-    path: &Path,
-    fingerprint: u64,
-    shard_size: usize,
-    verified: &[Option<(usize, u64)>],
-) -> std::io::Result<()> {
-    let mut text =
-        format!("{MANIFEST_VERSION}\nspec {fingerprint:016x}\nshard-size {shard_size}\n");
-    for (k, meta) in verified.iter().enumerate() {
-        if let Some((records, bytes)) = meta {
-            text.push_str(&format!("shard {k} {records} {bytes}\n"));
-        }
-    }
-    let tmp = path.with_extension("manifest.tmp");
-    // lint: allow(atomic-results-io): this is the temp-file half of the rename pattern
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path)
-}
-
-/// Appends one shard-completion line to the journal — same torn-tail
-/// contract as [`append_point`]: a crash mid-append loses at most this
-/// one record, and the shard is simply re-evaluated on resume.
-fn append_shard(path: &Path, k: usize, records: usize, bytes: u64) -> std::io::Result<()> {
-    // lint: allow(atomic-results-io): append-only journal — a torn tail line is detected and re-evaluated on resume; the shard itself goes through temp+rename
-    let mut file = std::fs::OpenOptions::new().append(true).open(path)?;
-    file.write_all(format!("shard {k} {records} {bytes}\n").as_bytes())?;
-    file.flush()
-}
-
-/// Reads `<id>.json` back and accepts it only if it re-serialises to
-/// exactly its own bytes — the guarantee that lets a resumed sweep
-/// promise byte-identical output without re-evaluating the point.
-fn verified_point(dir: &Path, id: &str) -> Option<ExperimentResult> {
-    let json = std::fs::read_to_string(dir.join(format!("{id}.json"))).ok()?;
-    let result: ExperimentResult = serde_json::from_str(&json).ok()?;
-    if result.id != id {
-        return None;
-    }
-    let rendered = serde_json::to_string_pretty(&result).ok()?;
-    (rendered == json).then_some(result)
+    Ok(journaled)
 }
 
 #[cfg(test)]
@@ -650,18 +501,40 @@ mod tests {
         }
         let manifest = std::fs::read_to_string(manifest_path(&ckpt_dir, "ckpt")).unwrap();
         assert!(manifest.starts_with(MANIFEST_VERSION));
-        assert_eq!(manifest.matches("point ").count(), 6);
+        assert_eq!(manifest.matches("unit ").count(), 6);
         std::fs::remove_dir_all(&plain_dir).ok();
         std::fs::remove_dir_all(&ckpt_dir).ok();
+    }
+
+    /// A grid mixing deterministic (`jitter 0`) and stochastic points, so
+    /// evaluation order (deterministic first) differs from grid order.
+    const MIXED_GRID: &str = r#"{"name": "mixed",
+        "workload": {"kind": "gd", "preset": "fig2", "max_n": 6},
+        "sweep": [{"param": "comm", "values": ["tree", "ring", "spark"]},
+                  {"param": "jitter", "values": [0.5, 0]}]}"#;
+
+    /// Every file in `dir` with its bytes, sorted by name.
+    fn dir_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, std::fs::read(&path).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
     }
 
     #[test]
     fn resume_after_err_fault_at_every_point_is_byte_identical() {
         // Property over crash sites: inject an `err` fault at the k-th
-        // write for every k, then resume; points and roll-up must be
-        // byte-identical to an uninterrupted run, and the interrupted
-        // directory must never contain a torn JSON.
-        let spec = spec(GRID);
+        // write for every k, then resume; the whole directory — points,
+        // roll-up and journal — must be byte-identical to an
+        // uninterrupted run, and the interrupted directory must never
+        // contain a torn JSON.
+        let spec = spec(MIXED_GRID);
         let clean_dir = temp_dir("clean");
         let clean = run_checkpointed(&spec, &clean_dir, false).unwrap();
 
@@ -687,18 +560,13 @@ mod tests {
             let resumed = run_checkpointed(&spec, &dir, true).unwrap();
             assert_eq!(resumed.resumed, k - 1, "crash site {k}");
             assert_eq!(resumed.outcome, clean.outcome, "crash site {k}");
-            for (ours, theirs) in resumed.paths.iter().zip(&clean.paths) {
-                assert_eq!(
-                    std::fs::read(ours).unwrap(),
-                    std::fs::read(theirs).unwrap(),
-                    "crash site {k}: {} differs from the clean run",
-                    ours.display()
-                );
-                assert!(
-                    !ours.with_extension("json.tmp").exists(),
-                    "crash site {k}: resume must clean the orphaned temp file"
-                );
-            }
+            // Same file names (so no orphaned temp file survives) and
+            // same bytes, the journal included.
+            assert_eq!(
+                dir_bytes(&dir),
+                dir_bytes(&clean_dir),
+                "crash site {k}: the resumed directory differs from the clean run"
+            );
             std::fs::remove_dir_all(&dir).ok();
         }
         std::fs::remove_dir_all(&clean_dir).ok();
@@ -918,6 +786,67 @@ mod tests {
             "{}",
             err.message
         );
+        assert!(err.message.contains("--per-point-max 6"), "{}", err.message);
+        std::fs::remove_dir_all(&dir).ok();
+
+        // Nor a sharded journal a per-point resume: the same diagnostic
+        // refuses, names the flag that resumes it, and touches nothing.
+        let dir = temp_dir("point-from-shard");
+        run_sharded(&spec, &dir, false, 2).unwrap();
+        let before = dir_bytes(&dir);
+        let err = run_checkpointed(&spec, &dir, true).expect_err("must refuse");
+        assert_eq!(err.path, "--resume");
+        assert!(
+            err.message.contains("sharded sweep journal"),
+            "{}",
+            err.message
+        );
+        assert!(err.message.contains("--per-point-max 2"), "{}", err.message);
+        assert_eq!(
+            dir_bytes(&dir),
+            before,
+            "a refused resume must not touch the shards"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn resume_refuses_a_v1_journal_by_name() {
+        // Journals written before the v2 format (`point <id>` and
+        // `shard-size`/`shard …` lines) are refused at --resume, which the
+        // CLI turns into exit 2, instead of being half-read.
+        let spec = spec(GRID);
+        let dir = temp_dir("v1");
+        run_checkpointed(&spec, &dir, false).unwrap();
+        let manifest = manifest_path(&dir, "ckpt");
+        let fingerprint = spec_fingerprint(&spec);
+        for (v1, shard_size) in [
+            (
+                format!("mlscale sweep journal v1\nspec {fingerprint:016x}\npoint ckpt-p000\n"),
+                None,
+            ),
+            (
+                format!(
+                    "mlscale sweep journal v1\nspec {fingerprint:016x}\nshard-size 2\nshard 0 2 9\n"
+                ),
+                Some(2),
+            ),
+        ] {
+            std::fs::write(&manifest, &v1).unwrap();
+            let err = match shard_size {
+                None => run_checkpointed(&spec, &dir, true).map(|_| ()),
+                Some(size) => run_sharded(&spec, &dir, true, size).map(|_| ()),
+            }
+            .expect_err("a v1 journal must be refused");
+            assert_eq!(err.path, "--resume");
+            assert!(
+                err.message
+                    .contains("is not a sweep journal this version understands"),
+                "{}",
+                err.message
+            );
+            assert!(err.message.contains(MANIFEST_VERSION), "{}", err.message);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -980,7 +909,7 @@ mod tests {
             "stale points, orphaned temp and old journal lines must be gone"
         );
         let manifest = std::fs::read_to_string(manifest_path(&dir, "shrinkc")).unwrap();
-        assert_eq!(manifest.matches("point ").count(), 1);
+        assert_eq!(manifest.matches("unit ").count(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

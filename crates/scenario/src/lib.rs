@@ -45,10 +45,7 @@ pub mod spec;
 pub mod store;
 
 pub use adaptive::{run_adaptive, run_adaptive_pooled, AdaptiveSweep, FrontierPoint};
-pub use checkpoint::{
-    run_checkpointed, run_checkpointed_pooled, run_sharded, run_sharded_pooled, CheckpointedSweep,
-    ShardedSweep,
-};
+pub use checkpoint::{run_checkpointed, run_sharded, CheckpointedSweep, ShardedSweep};
 pub use run::{run, run_pooled, write_outcome, SweepOutcome, SweepSummary};
 pub use spec::{
     AxisSpec, AxisValue, BpSpec, ExhibitSpec, GdSpec, GridPoint, HeteroSpec, PlanSpec,

@@ -19,21 +19,17 @@
 use crate::spec::{
     BpSpec, ExhibitSpec, GdSpec, GridPoint, ResolvedWorkload, ScenarioSpec, SpecError, WorkloadSpec,
 };
-use mlscale_core::models::graphinf::{
-    bp_cost_per_edge, max_edges_monte_carlo, EdgeLoad, GraphInferenceModel,
-};
+use crate::store::{self, Layout};
 use mlscale_core::planner::Pricing;
 use mlscale_core::speedup::log_spaced_ns;
 use mlscale_core::straggler::{OrderStatCache, OrderStatCachePool};
-use mlscale_core::units::{BitsPerSec, FlopsRate, Seconds};
+use mlscale_core::units::Seconds;
 use mlscale_core::{par, SpeedupCurve};
-use mlscale_graph::sampling::zipf_weights;
 use mlscale_workloads::experiments::extensions::hierarchical_comm;
 use mlscale_workloads::experiments::{fig1, fig2, fig3, fig4, stragglers, table1, DnsScale};
 use mlscale_workloads::{ExperimentResult, Series};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::Value;
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 /// Everything one `mlscale sweep` run produced, in grid order.
@@ -70,18 +66,7 @@ pub fn run_pooled(
     pool: &OrderStatCachePool,
 ) -> Result<SweepOutcome, SpecError> {
     let grid = spec.expand()?;
-    let resolved: Vec<ResolvedWorkload> = grid
-        .iter()
-        .map(|p| spec.resolve(p))
-        .collect::<Result<_, _>>()?;
-    let n_points = expected_point_ids(spec, &grid).len();
-    let pending: Vec<usize> = (0..n_points).collect();
-    let mut results: Vec<Option<ExperimentResult>> = vec![None; n_points];
-    eval_pending(spec, &grid, &resolved, pool, &pending, &mut |i, result| {
-        results[i] = Some(result);
-        Ok(())
-    })?;
-    let points = collect_complete(results)?;
+    let points = eval_all(spec, pool, &grid)?;
     let rollup = build_rollup(spec, &grid, &points);
     Ok(SweepOutcome {
         name: spec.name.clone(),
@@ -91,37 +76,28 @@ pub fn run_pooled(
     })
 }
 
-/// The result ids a sweep will produce, aligned with its point slots.
-/// Gd/bp points are named by the grid; an exhibit keeps its binary's own
-/// id (one point, byte-identical to the golden fixture) — the
-/// checkpointing runner needs these *before* evaluating anything.
-pub(crate) fn expected_point_ids(spec: &ScenarioSpec, grid: &[GridPoint]) -> Vec<String> {
-    match &spec.workload {
-        WorkloadSpec::Exhibit(ex) => vec![ex.id.clone()],
-        _ => grid.iter().map(|p| p.id.clone()).collect(),
-    }
-}
-
-/// Evaluates the `pending` subset of point slots, delivering each result
-/// through `sink` as soon as the engine has it (deterministic order:
-/// deterministic gd points first, then stochastic points grouped by
-/// delay distribution). The checkpointing runner journals from the sink;
-/// [`run_pooled`] just collects. Results are bit-identical regardless of
-/// which subset is pending — shared caches only memoise pure
-/// quadratures.
-pub(crate) fn eval_pending(
+/// The one evaluator behind every sweep: resolves and evaluates `points`
+/// (any subset of the grid), delivering each result with its offset in
+/// `points` through `sink` as soon as the engine has it — deterministic
+/// gd points first, then stochastic points grouped by delay
+/// distribution. The journaled runner writes from the sink; [`eval_all`]
+/// just collects. Results are bit-identical whichever subset is passed —
+/// shared caches only memoise pure quadratures.
+pub(crate) fn eval_points(
     spec: &ScenarioSpec,
-    grid: &[GridPoint],
-    resolved: &[ResolvedWorkload],
     pool: &OrderStatCachePool,
-    pending: &[usize],
+    points: &[GridPoint],
     sink: &mut dyn FnMut(usize, ExperimentResult) -> Result<(), SpecError>,
 ) -> Result<(), SpecError> {
+    let resolved: Vec<ResolvedWorkload> = points
+        .iter()
+        .map(|p| spec.resolve(p))
+        .collect::<Result<_, _>>()?;
     match &spec.workload {
-        WorkloadSpec::Gd(_) => eval_gd_pending(spec, grid, resolved, pool, pending, sink),
-        WorkloadSpec::Bp(_) => eval_bp_pending(spec, grid, resolved, pending, sink),
+        WorkloadSpec::Gd(_) => eval_gd_points(spec, points, &resolved, pool, sink),
+        WorkloadSpec::Bp(_) => eval_bp_points(spec, points, &resolved, sink),
         WorkloadSpec::Exhibit(ex) => {
-            for &i in pending {
+            for i in 0..points.len() {
                 sink(i, run_exhibit(ex)?)?;
             }
             Ok(())
@@ -129,16 +105,28 @@ pub(crate) fn eval_pending(
     }
 }
 
-/// Unwraps the per-slot results, naming any slot the scheduler skipped
-/// (an internal bug, reported rather than panicked).
-fn collect_complete(
-    results: Vec<Option<ExperimentResult>>,
+/// [`eval_points`], collected in `points` order.
+pub(crate) fn eval_all(
+    spec: &ScenarioSpec,
+    pool: &OrderStatCachePool,
+    points: &[GridPoint],
 ) -> Result<Vec<ExperimentResult>, SpecError> {
-    results
+    let mut results = vec![None; points.len()];
+    eval_points(spec, pool, points, &mut |i, result| {
+        results[i] = Some(result);
+        Ok(())
+    })?;
+    all_evaluated(results)
+}
+
+/// Unwraps per-slot results, naming any slot the scheduler skipped (an
+/// internal bug, reported rather than panicked).
+pub(crate) fn all_evaluated<T>(slots: Vec<Option<T>>) -> Result<Vec<T>, SpecError> {
+    slots
         .into_iter()
         .enumerate()
-        .map(|(i, r)| {
-            r.ok_or_else(|| {
+        .map(|(i, slot)| {
+            slot.ok_or_else(|| {
                 SpecError::new(
                     format!("sweep point {i}"),
                     "never evaluated — internal scheduling bug",
@@ -151,13 +139,12 @@ fn collect_complete(
 /// Serialises every point result plus the roll-up into `dir` as
 /// `<id>.json`, atomically (temp file + rename, like the exhibit
 /// binaries' `emit`): an interrupted sweep never leaves a truncated
-/// results file behind. Point files from a previous, larger run of the
-/// same scenario (`<name>-pNNN.json` ids not in the current expansion,
-/// plus orphaned `.tmp` files) are removed, so the directory always
-/// reflects exactly the grid that was just swept — re-running a shrunk
-/// grid never leaves stale points beside the fresh roll-up. Files not
-/// matching this scenario's point-id pattern are untouched. Returns the
-/// written paths in grid order (roll-up last).
+/// results file behind. Result files of this scenario from a previous run
+/// that are not part of this outcome — points beyond a shrunk grid,
+/// shards of a sharded run, orphaned `.tmp` files — are removed, so the
+/// directory always reflects exactly the grid that was just swept. Files
+/// not matching this scenario's result-file patterns are untouched.
+/// Returns the written paths in grid order (roll-up last).
 pub fn write_outcome(outcome: &SweepOutcome, dir: &Path) -> std::io::Result<Vec<PathBuf>> {
     std::fs::create_dir_all(dir)?;
     let mut paths = Vec::with_capacity(outcome.points.len() + 1);
@@ -167,58 +154,16 @@ pub fn write_outcome(outcome: &SweepOutcome, dir: &Path) -> std::io::Result<Vec<
         .chain(std::iter::once(&outcome.rollup))
     {
         let path = dir.join(format!("{}.json", result.id));
-        let tmp = dir.join(format!("{}.json.tmp", result.id));
-        let json = serde_json::to_string_pretty(result).map_err(std::io::Error::other)?;
-        // lint: allow(atomic-results-io): this is the temp-file half of the rename pattern
-        std::fs::write(&tmp, json)?;
-        std::fs::rename(&tmp, &path)?;
+        store::write_atomic(&path, &Layout::PerPoint.encode(result)?, None)?;
         paths.push(path);
     }
-    let fresh: std::collections::HashSet<String> = outcome
+    let fresh: HashSet<String> = outcome
         .points
         .iter()
         .map(|r| format!("{}.json", r.id))
         .collect();
-    clean_stale_points(dir, &outcome.name, &fresh)?;
-    // Per-point layout is authoritative for this run: shards from a
-    // previous sharded run of the same scenario are stale.
-    crate::store::clean_stale_shards(dir, &outcome.name, &std::collections::HashSet::new())?;
+    store::clean_stale(dir, &outcome.name, &fresh)?;
     Ok(paths)
-}
-
-/// Removes point files (and orphaned `.tmp` files) of the named scenario
-/// whose file names are not in `fresh` — shared by [`write_outcome`] and
-/// the checkpointing runner so both leave the directory reflecting
-/// exactly the grid that was just swept.
-pub(crate) fn clean_stale_points(
-    dir: &Path,
-    name: &str,
-    fresh: &std::collections::HashSet<String>,
-) -> std::io::Result<()> {
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let Ok(file_name) = entry.file_name().into_string() else {
-            continue;
-        };
-        if is_point_file(&file_name, name) && !fresh.contains(&file_name) {
-            std::fs::remove_file(entry.path())?;
-        }
-    }
-    Ok(())
-}
-
-/// Whether `file_name` is a point output (or orphaned temp file) of the
-/// named scenario: `<name>-p<digits>.json` or `…​.json.tmp`.
-fn is_point_file(file_name: &str, name: &str) -> bool {
-    let Some(rest) = file_name
-        .strip_prefix(name)
-        .and_then(|r| r.strip_prefix("-p"))
-    else {
-        return false;
-    };
-    let digits = rest.len() - rest.trim_start_matches(|c: char| c.is_ascii_digit()).len();
-    let suffix = &rest[digits..];
-    digits > 0 && (suffix == ".json" || suffix == ".json.tmp")
 }
 
 // ---------------------------------------------------------------------------
@@ -235,12 +180,11 @@ fn try_gd_of(workload: &ResolvedWorkload, point: usize) -> Result<&GdSpec, SpecE
     }
 }
 
-fn eval_gd_pending(
+fn eval_gd_points(
     spec: &ScenarioSpec,
-    grid: &[GridPoint],
+    points: &[GridPoint],
     resolved: &[ResolvedWorkload],
     pool: &OrderStatCachePool,
-    pending: &[usize],
     sink: &mut dyn FnMut(usize, ExperimentResult) -> Result<(), SpecError>,
 ) -> Result<(), SpecError> {
     let gds: Vec<&GdSpec> = resolved
@@ -251,14 +195,12 @@ fn eval_gd_pending(
 
     // Deterministic points: pure functions of the spec, fanned out across
     // threads (each curve additionally parallelises over n internally).
-    let det: Vec<usize> = pending
-        .iter()
-        .copied()
+    let det: Vec<usize> = (0..points.len())
         .filter(|&i| gds[i].straggler_model().is_zero())
         .collect();
     for (&i, result) in det
         .iter()
-        .zip(par::map(&det, |&i| eval_gd(spec, &grid[i], gds[i], None)))
+        .zip(par::map(&det, |&i| eval_gd(spec, &points[i], gds[i], None)))
     {
         sink(i, result?)?;
     }
@@ -268,9 +210,7 @@ fn eval_gd_pending(
     // caller's pool, so a daemon reuses them across requests). Each
     // distinct backup_k in a group gets one shared-grid warm pass sized
     // to the group's widest sweep; every curve then reads memo hits.
-    let mut stochastic: Vec<usize> = pending
-        .iter()
-        .copied()
+    let mut stochastic: Vec<usize> = (0..points.len())
         .filter(|&i| !gds[i].straggler_model().is_zero())
         .collect();
     while let Some(&first) = stochastic.first() {
@@ -298,7 +238,7 @@ fn eval_gd_pending(
             cache.warm(n_max, backup_k);
         }
         for &i in &group {
-            sink(i, eval_gd(spec, &grid[i], gds[i], Some(&cache))?)?;
+            sink(i, eval_gd(spec, &points[i], gds[i], Some(&cache))?)?;
         }
     }
     Ok(())
@@ -368,14 +308,14 @@ fn eval_gd(
 // Belief propagation
 // ---------------------------------------------------------------------------
 
-fn eval_bp_pending(
+fn eval_bp_points(
     spec: &ScenarioSpec,
-    grid: &[GridPoint],
+    points: &[GridPoint],
     resolved: &[ResolvedWorkload],
-    pending: &[usize],
     sink: &mut dyn FnMut(usize, ExperimentResult) -> Result<(), SpecError>,
 ) -> Result<(), SpecError> {
-    let evaluated = par::map(pending, |&i| {
+    let indices: Vec<usize> = (0..points.len()).collect();
+    let evaluated = par::map(&indices, |&i| {
         let ResolvedWorkload::Bp(bp) = &resolved[i] else {
             return Err(SpecError::new(
                 format!("sweep point {i}"),
@@ -385,41 +325,22 @@ fn eval_bp_pending(
                 ),
             ));
         };
-        eval_bp(spec, &grid[i], bp)
+        eval_bp(spec, &points[i], bp)
     });
-    for (&i, result) in pending.iter().zip(evaluated) {
+    for (i, result) in evaluated.into_iter().enumerate() {
         sink(i, result?)?;
     }
     Ok(())
 }
 
-/// Evaluates one bp grid point with the same defaults, degree model and
-/// Monte-Carlo seed as `mlscale bp` — a 1-point grid matches the CLI.
+/// Evaluates one bp grid point through [`BpSpec::build`], the model
+/// `mlscale bp` prints — a 1-point grid matches the CLI.
 fn eval_bp(
     spec: &ScenarioSpec,
     point: &GridPoint,
     bp: &BpSpec,
 ) -> Result<ExperimentResult, SpecError> {
-    let d_max = bp
-        .max_degree
-        .unwrap_or((2.0 * bp.edges / bp.vertices * 10.0).max(4.0));
-    let bandwidth = BitsPerSec::new(bp.bandwidth.unwrap_or(f64::INFINITY));
-    let (weights, gamma) = zipf_weights(bp.vertices as usize, d_max, 2.0 * bp.edges);
-    let degrees: Vec<u32> = weights.iter().map(|&w| w.round().max(1.0) as u32).collect();
-    let mut rng = StdRng::seed_from_u64(0xC11);
-    let loads: Vec<f64> = (1..=bp.max_n)
-        .map(|n| max_edges_monte_carlo(&degrees, n, 3, &mut rng))
-        .collect();
-    let model = GraphInferenceModel {
-        vertices: bp.vertices,
-        edges: bp.edges,
-        states: bp.states,
-        cost_per_edge: bp_cost_per_edge(bp.states),
-        flops: FlopsRate::new(bp.flops),
-        bandwidth,
-        replication: bp.replication,
-        edge_load: EdgeLoad::PerWorkerMax(loads),
-    };
+    let (model, gamma) = bp.build();
     let curve = model.curve(1..=bp.max_n);
     Ok(with_curve(point_result(spec, point), &curve)?
         .with_stat("zipf gamma", gamma, None)

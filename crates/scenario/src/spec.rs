@@ -11,9 +11,15 @@
 
 use mlscale_core::hardware::{presets, ClusterSpec, Heterogeneity, LinkSpec, NodeSpec, RackSpec};
 use mlscale_core::models::gd::{GdComm, GradientDescentModel};
+use mlscale_core::models::graphinf::{
+    bp_cost_per_edge, max_edges_monte_carlo, EdgeLoad, GraphInferenceModel,
+};
 use mlscale_core::speedup::DENSE_EVAL_MAX_N;
 use mlscale_core::straggler::{StragglerGdModel, StragglerModel};
 use mlscale_core::units::{BitsPerSec, FlopCount, FlopsRate, Seconds};
+use mlscale_graph::sampling::zipf_weights;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use serde::Value;
 use std::fmt;
 
@@ -1403,6 +1409,36 @@ impl GdSpec {
 }
 
 impl BpSpec {
+    /// Builds the graph-inference model and returns it with the degree
+    /// sequence's Zipf exponent — the one construction behind both the
+    /// scenario engine and `mlscale bp`: the degree sequence from the
+    /// calibrated Zipf weights (rounded, as the generator would realise
+    /// it, hub degree defaulting to `(2E/V·10).max(4)`), the per-worker
+    /// max edge load by Monte-Carlo (seed `0xC11`) over every
+    /// `n ∈ 1..=max_n`, and infinite (shared-memory) bandwidth by default.
+    pub fn build(&self) -> (GraphInferenceModel, f64) {
+        let d_max = self
+            .max_degree
+            .unwrap_or((2.0 * self.edges / self.vertices * 10.0).max(4.0));
+        let (weights, gamma) = zipf_weights(self.vertices as usize, d_max, 2.0 * self.edges);
+        let degrees: Vec<u32> = weights.iter().map(|&w| w.round().max(1.0) as u32).collect();
+        let mut rng = StdRng::seed_from_u64(0xC11);
+        let loads: Vec<f64> = (1..=self.max_n)
+            .map(|n| max_edges_monte_carlo(&degrees, n, 3, &mut rng))
+            .collect();
+        let model = GraphInferenceModel {
+            vertices: self.vertices,
+            edges: self.edges,
+            states: self.states,
+            cost_per_edge: bp_cost_per_edge(self.states),
+            flops: FlopsRate::new(self.flops),
+            bandwidth: BitsPerSec::new(self.bandwidth.unwrap_or(f64::INFINITY)),
+            replication: self.replication,
+            edge_load: EdgeLoad::PerWorkerMax(loads),
+        };
+        (model, gamma)
+    }
+
     /// Validates the (possibly override-resolved) bp workload.
     pub fn validate(&self, path: &str) -> Result<()> {
         let at = |key: &str| format!("{path}.{key}");

@@ -21,23 +21,17 @@
 
 #![forbid(unsafe_code)]
 
-use mlscale::graph::sampling::zipf_weights;
 use mlscale::model::hardware::{presets, ClusterSpec, Heterogeneity, LinkSpec, NodeSpec, RackSpec};
 use mlscale::model::models::gd::{GdComm, GradientDescentModel};
-use mlscale::model::models::graphinf::{
-    bp_cost_per_edge, max_edges_monte_carlo, EdgeLoad, GraphInferenceModel,
-};
 use mlscale::model::planner::{Planner, Pricing};
 use mlscale::model::speedup::{log_spaced_ns, DENSE_EVAL_MAX_N};
 use mlscale::model::straggler::{StragglerGdModel, StragglerModel};
 use mlscale::model::units::{BitsPerSec, FlopCount, FlopsRate, Seconds};
 use mlscale::scenario::{
-    run_adaptive, run_checkpointed as sweep_run, run_sharded, write_outcome, ScenarioSpec,
+    run_adaptive, run_checkpointed as sweep_run, run_sharded, write_outcome, BpSpec, ScenarioSpec,
     SweepOutcome, SweepSummary, DEFAULT_PER_POINT_MAX,
 };
 use mlscale::workloads::experiments::figures;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::HashMap;
 use std::process::exit;
 
@@ -551,44 +545,34 @@ fn cmd_bp(flags: &HashMap<String, String>) {
     let v = pos(flags, "vertices", None);
     let e = pos(flags, "edges", None);
     let d_max = pos(flags, "max-degree", Some((2.0 * e / v * 10.0).max(4.0)));
-    let states = int(flags, "states", Some(2));
-    let flops = FlopsRate::new(pos(flags, "flops", Some(7.6e9)));
-    let bandwidth = match flags.get("bandwidth") {
-        Some(_) => BitsPerSec::new(pos(flags, "bandwidth", None)),
-        None => BitsPerSec::new(f64::INFINITY), // shared memory default
+    let bp = BpSpec {
+        vertices: v,
+        edges: e,
+        max_degree: Some(d_max),
+        states: int(flags, "states", Some(2)),
+        flops: pos(flags, "flops", Some(7.6e9)),
+        // Shared memory (infinite bandwidth) unless given.
+        bandwidth: flags
+            .contains_key("bandwidth")
+            .then(|| pos(flags, "bandwidth", None)),
+        replication: num(flags, "replication", Some(0.5)),
+        max_n: int(flags, "max-n", Some(80)),
     };
-    let replication = num(flags, "replication", Some(0.5));
-    let max_n = int(flags, "max-n", Some(80));
-    if max_n > DENSE_EVAL_MAX_N {
+    if bp.max_n > DENSE_EVAL_MAX_N {
         die(format_args!(
-            "--max-n: {max_n} exceeds the dense-mode limit {DENSE_EVAL_MAX_N}; \
-             the bp workload Monte-Carlo loads every n in 1..=max-n"
+            "--max-n: {} exceeds the dense-mode limit {DENSE_EVAL_MAX_N}; \
+             the bp workload Monte-Carlo loads every n in 1..=max-n",
+            bp.max_n
         ));
     }
-
-    // Degree sequence from the calibrated Zipf weights (rounded), as the
-    // generator would realise it — no need to materialise the graph.
-    let (weights, gamma) = zipf_weights(v as usize, d_max, 2.0 * e);
-    let degrees: Vec<u32> = weights.iter().map(|&w| w.round().max(1.0) as u32).collect();
+    // The same model a one-point bp scenario evaluates: the degree
+    // sequence from the calibrated Zipf weights, Monte-Carlo edge loads.
+    let (model, gamma) = bp.build();
     println!(
         "degree model: Zipf gamma = {gamma:.3}, hub degree ~{d_max:.0}, avg {:.1}\n",
         2.0 * e / v
     );
-    let mut rng = StdRng::seed_from_u64(0xC11);
-    let loads: Vec<f64> = (1..=max_n)
-        .map(|n| max_edges_monte_carlo(&degrees, n, 3, &mut rng))
-        .collect();
-    let model = GraphInferenceModel {
-        vertices: v,
-        edges: e,
-        states,
-        cost_per_edge: bp_cost_per_edge(states),
-        flops,
-        bandwidth,
-        replication,
-        edge_load: EdgeLoad::PerWorkerMax(loads),
-    };
-    let curve = model.curve(1..=max_n);
+    let curve = model.curve(1..=bp.max_n);
     println!("{}", curve.to_table());
     let (n_opt, s_opt) = curve.optimal();
     println!("optimal workers: {n_opt} (speedup {s_opt:.2}x)");
