@@ -398,7 +398,7 @@ pub struct BpSpec {
     pub vertices: f64,
     /// Edge count.
     pub edges: f64,
-    /// Hub degree (default `(2E/V·10).max(4)` like the CLI).
+    /// Hub degree (default: see [`BpSpec::hub_degree`]).
     pub max_degree: Option<f64>,
     /// States per variable (default 2).
     pub states: usize,
@@ -634,27 +634,7 @@ fn parse_straggler(v: &Value) -> Result<StragglerSpec> {
         }
     };
     obj.deny_unknown()?;
-    match spec {
-        StragglerSpec::Jitter { spread } if spread < 0.0 || !spread.is_finite() => {
-            Err(SpecError::new(
-                "workload.straggler.spread",
-                "must be a finite non-negative number",
-            ))
-        }
-        StragglerSpec::Exp { mean } if mean < 0.0 || !mean.is_finite() => Err(SpecError::new(
-            "workload.straggler.mean",
-            "must be a finite non-negative number",
-        )),
-        StragglerSpec::LogNormal { mu, sigma }
-            if sigma < 0.0 || !sigma.is_finite() || !mu.is_finite() =>
-        {
-            Err(SpecError::new(
-                "workload.straggler.sigma",
-                "mu must be finite and sigma a finite non-negative number",
-            ))
-        }
-        ok => Ok(ok),
-    }
+    Ok(spec)
 }
 
 fn parse_hetero(v: &Value) -> Result<HeteroSpec> {
@@ -684,15 +664,6 @@ fn parse_hetero(v: &Value) -> Result<HeteroSpec> {
         }
     };
     obj.deny_unknown()?;
-    let factor = match spec {
-        HeteroSpec::Slow { factor, .. } | HeteroSpec::Rack { factor } => factor,
-    };
-    if factor <= 0.0 || !factor.is_finite() {
-        return Err(SpecError::new(
-            "workload.hetero.factor",
-            format!("speed factor must be positive and finite, got {factor}"),
-        ));
-    }
     Ok(spec)
 }
 
@@ -705,21 +676,6 @@ fn parse_plan(v: &Value) -> Result<PlanSpec> {
         budget: obj.f64("budget")?,
     };
     obj.deny_unknown()?;
-    for (key, v, pos) in [
-        ("iterations", Some(spec.iterations), true),
-        ("price", Some(spec.price), true),
-        ("deadline", spec.deadline, false),
-        ("budget", spec.budget, false),
-    ] {
-        if let Some(v) = v {
-            if !v.is_finite() || v < 0.0 || (pos && v == 0.0) {
-                return Err(SpecError::new(
-                    format!("workload.plan.{key}"),
-                    format!("must be a finite positive number, got {v}"),
-                ));
-            }
-        }
-    }
     Ok(spec)
 }
 
@@ -888,8 +844,42 @@ fn expand_range(v: &Value, path: &str) -> Result<Vec<AxisValue>> {
 // Validation
 // ---------------------------------------------------------------------------
 
+/// The numbers a numeric field accepts; every one must also be finite.
+#[derive(Clone, Copy)]
+enum Range {
+    /// `> 0`: quantities the models divide by (flop rates, bandwidths,
+    /// workload sizes, speed factors).
+    Positive,
+    /// `≥ 0`: latencies, delays, deadlines, budgets.
+    NonNegative,
+    /// Any finite number (a lognormal location).
+    Finite,
+}
+
+/// Checks an optional numeric field against `range`, naming the rule it
+/// applied and the offending value. The key path `{path}.{key}` is built
+/// only on failure: the dry run validates every grid point, and an eager
+/// `format!` per field would dominate validating a large grid.
+fn check(path: &str, key: &str, value: impl Into<Option<f64>>, range: Range) -> Result<()> {
+    let Some(v) = value.into() else {
+        return Ok(());
+    };
+    let (ok, rule) = match range {
+        Range::Positive => (v > 0.0, "a finite positive number"),
+        Range::NonNegative => (v >= 0.0, "a finite non-negative number"),
+        Range::Finite => (true, "a finite number"),
+    };
+    if ok && v.is_finite() {
+        return Ok(());
+    }
+    Err(SpecError::new(
+        format!("{path}.{key}"),
+        format!("must be {rule}, got {v}"),
+    ))
+}
+
 /// Gd fields a preset fixes; naming one alongside `preset` (or sweeping
-/// it) is a conflict, mirroring the CLI's rule.
+/// it) is a conflict.
 const GD_PRESET_FIXED: &[&str] = &[
     "params",
     "cost_per_example",
@@ -1090,6 +1080,28 @@ impl GdSpec {
     /// prefixes every reported key.
     pub fn validate(&self, path: &str) -> Result<()> {
         let at = |key: &str| format!("{path}.{key}");
+        match self.straggler {
+            Some(StragglerSpec::Jitter { spread }) => {
+                check(path, "straggler.spread", spread, Range::NonNegative)?
+            }
+            Some(StragglerSpec::Exp { mean }) => {
+                check(path, "straggler.mean", mean, Range::NonNegative)?
+            }
+            Some(StragglerSpec::LogNormal { mu, sigma }) => {
+                check(path, "straggler.mu", mu, Range::Finite)?;
+                check(path, "straggler.sigma", sigma, Range::NonNegative)?;
+            }
+            Some(StragglerSpec::Det) | None => {}
+        }
+        if let Some(HeteroSpec::Slow { factor, .. } | HeteroSpec::Rack { factor }) = self.hetero {
+            check(path, "hetero.factor", factor, Range::Positive)?;
+        }
+        if let Some(plan) = &self.plan {
+            check(path, "plan.iterations", plan.iterations, Range::Positive)?;
+            check(path, "plan.price", plan.price, Range::Positive)?;
+            check(path, "plan.deadline", plan.deadline, Range::NonNegative)?;
+            check(path, "plan.budget", plan.budget, Range::NonNegative)?;
+        }
         if let Some(preset) = &self.preset {
             if !matches!(preset.as_str(), "fig2" | "fig3" | "pod") {
                 return Err(SpecError::new(
@@ -1125,31 +1137,18 @@ impl GdSpec {
                 ("batch", self.batch),
                 ("flops", self.flops),
             ] {
-                match value {
-                    None => return Err(SpecError::new(at(key), "missing required field")),
-                    Some(v) if !(v.is_finite() && v > 0.0) => {
-                        return Err(SpecError::new(
-                            at(key),
-                            format!("must be a finite positive number, got {v}"),
-                        ))
-                    }
-                    _ => {}
+                if value.is_none() {
+                    return Err(SpecError::new(at(key), "missing required field"));
                 }
+                check(path, key, value, Range::Positive)?;
             }
-            for (key, value, strictly_positive) in [
-                ("bandwidth", self.bandwidth, true),
-                ("latency", self.latency, false),
-                ("uplink_bandwidth", self.uplink_bandwidth, true),
-                ("uplink_latency", self.uplink_latency, false),
+            for (key, value, range) in [
+                ("bandwidth", self.bandwidth, Range::Positive),
+                ("latency", self.latency, Range::NonNegative),
+                ("uplink_bandwidth", self.uplink_bandwidth, Range::Positive),
+                ("uplink_latency", self.uplink_latency, Range::NonNegative),
             ] {
-                if let Some(v) = value {
-                    if !v.is_finite() || v < 0.0 || (strictly_positive && v == 0.0) {
-                        return Err(SpecError::new(
-                            at(key),
-                            format!("must be a finite non-negative number, got {v}"),
-                        ));
-                    }
-                }
+                check(path, key, value, range)?;
             }
             if let Some(bits) = self.bits {
                 if bits == 0 || u32::try_from(bits).is_err() {
@@ -1287,14 +1286,7 @@ impl GdSpec {
                         ))
                     }
                 }
-                let spread = num()?;
-                if spread < 0.0 || !spread.is_finite() {
-                    return Err(SpecError::new(
-                        path,
-                        format!("jitter: must be a finite non-negative number, got {spread}"),
-                    ));
-                }
-                self.straggler = Some(StragglerSpec::Jitter { spread });
+                self.straggler = Some(StragglerSpec::Jitter { spread: num()? });
             }
             "bits" => self.bits = Some(int()?),
             "max_n" => self.max_n = int()?,
@@ -1352,9 +1344,9 @@ impl GdSpec {
         })
     }
 
-    /// Builds the deterministic gd model — field for field the same
-    /// construction as the CLI's `gd_model`, so a scenario and the
-    /// equivalent `mlscale gd` invocation price bit-identical models.
+    /// Builds the deterministic gd model — the one construction behind
+    /// scenarios and the `mlscale gd`/`plan` verbs, which lower their
+    /// flags into a [`GdSpec`].
     fn build_inner(&self) -> Result<GradientDescentModel> {
         if let Some(preset) = &self.preset {
             let mut model = preset_model(preset).ok_or_else(|| {
@@ -1413,14 +1405,12 @@ impl BpSpec {
     /// sequence's Zipf exponent — the one construction behind both the
     /// scenario engine and `mlscale bp`: the degree sequence from the
     /// calibrated Zipf weights (rounded, as the generator would realise
-    /// it, hub degree defaulting to `(2E/V·10).max(4)`), the per-worker
+    /// it, around [`Self::hub_degree`]), the per-worker
     /// max edge load by Monte-Carlo (seed `0xC11`) over every
     /// `n ∈ 1..=max_n`, and infinite (shared-memory) bandwidth by default.
     pub fn build(&self) -> (GraphInferenceModel, f64) {
-        let d_max = self
-            .max_degree
-            .unwrap_or((2.0 * self.edges / self.vertices * 10.0).max(4.0));
-        let (weights, gamma) = zipf_weights(self.vertices as usize, d_max, 2.0 * self.edges);
+        let (weights, gamma) =
+            zipf_weights(self.vertices as usize, self.hub_degree(), 2.0 * self.edges);
         let degrees: Vec<u32> = weights.iter().map(|&w| w.round().max(1.0) as u32).collect();
         let mut rng = StdRng::seed_from_u64(0xC11);
         let loads: Vec<f64> = (1..=self.max_n)
@@ -1439,26 +1429,22 @@ impl BpSpec {
         (model, gamma)
     }
 
+    /// The hub degree: `max_degree`, or by default ten times the mean
+    /// degree `2E/V`, at least 4.
+    pub fn hub_degree(&self) -> f64 {
+        self.max_degree
+            .unwrap_or((2.0 * self.edges / self.vertices * 10.0).max(4.0))
+    }
+
     /// Validates the (possibly override-resolved) bp workload.
     pub fn validate(&self, path: &str) -> Result<()> {
         let at = |key: &str| format!("{path}.{key}");
-        for (key, v, strictly_positive) in [
-            ("vertices", Some(self.vertices), true),
-            ("edges", Some(self.edges), true),
-            ("max_degree", self.max_degree, true),
-            ("flops", Some(self.flops), true),
-            ("bandwidth", self.bandwidth, true),
-            ("replication", Some(self.replication), false),
-        ] {
-            if let Some(v) = v {
-                if !v.is_finite() || v < 0.0 || (strictly_positive && v == 0.0) {
-                    return Err(SpecError::new(
-                        at(key),
-                        format!("must be a finite positive number, got {v}"),
-                    ));
-                }
-            }
-        }
+        check(path, "vertices", self.vertices, Range::Positive)?;
+        check(path, "edges", self.edges, Range::Positive)?;
+        check(path, "max_degree", self.max_degree, Range::Positive)?;
+        check(path, "flops", self.flops, Range::Positive)?;
+        check(path, "bandwidth", self.bandwidth, Range::Positive)?;
+        check(path, "replication", self.replication, Range::NonNegative)?;
         if self.states < 2 {
             return Err(SpecError::new(
                 at("states"),
@@ -1473,7 +1459,7 @@ impl BpSpec {
                 at("max_n"),
                 format!(
                     "{} exceeds the dense-mode limit {DENSE_EVAL_MAX_N}: the bp workload \
-                     evaluates (and Monte-Carlo loads) every n in 1..=max_n",
+                     evaluates (and Monte-Carlo loads) every n up to max_n",
                     self.max_n
                 ),
             ));
@@ -1813,6 +1799,42 @@ mod tests {
         let e = err_of(r#"{"name": "t", "workload": {"kind": "gd", "params": 1e6}}"#);
         assert_eq!(e.path, "workload.cost_per_example");
         assert!(e.message.contains("missing"), "{e}");
+    }
+
+    #[test]
+    fn range_diagnostics_state_the_rule_they_applied() {
+        for (json, path, message) in [
+            (
+                r#"{"name": "t", "workload": {"kind": "gd", "params": 1e6,
+                    "cost_per_example": 1e6, "batch": 10, "flops": 1e9, "bandwidth": 0}}"#,
+                "workload.bandwidth",
+                "must be a finite positive number, got 0",
+            ),
+            (
+                r#"{"name": "t", "workload": {"kind": "bp", "vertices": 100, "edges": 300,
+                    "replication": -1}}"#,
+                "workload.replication",
+                "must be a finite non-negative number, got -1",
+            ),
+            (
+                r#"{"name": "t", "workload": {"kind": "gd", "preset": "fig2",
+                    "plan": {"budget": -3}}}"#,
+                "workload.plan.budget",
+                "must be a finite non-negative number, got -3",
+            ),
+            (
+                r#"{"name": "t", "workload": {"kind": "gd", "preset": "fig2",
+                    "straggler": {"kind": "lognormal", "mu": 0, "sigma": -1}}}"#,
+                "workload.straggler.sigma",
+                "must be a finite non-negative number, got -1",
+            ),
+        ] {
+            let e = err_of(json);
+            assert_eq!((e.path.as_str(), e.message.as_str()), (path, message));
+        }
+        // The rule for replication admits zero.
+        parse(r#"{"name": "t", "workload": {"kind": "bp", "vertices": 100, "edges": 300, "replication": 0}}"#)
+            .expect("replication 0 is in range");
     }
 
     #[test]

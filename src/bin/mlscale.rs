@@ -18,20 +18,23 @@
 //! `--preset` value, or an unparsable number aborts with a message naming
 //! the offending flag and a non-zero exit status — nothing silently falls
 //! back to a default.
+//!
+//! `gd`, `plan` and `bp` lower their flags into the scenario spec
+//! (`GdSpec`, `BpSpec`) and check it with the validator behind `sweep` and
+//! `serve`, so a verb accepts exactly the inputs its one-point scenario
+//! does; a refusal names the flag (`--rack-size`) where the scenario names
+//! the key (`workload.rack_size`).
 
 #![forbid(unsafe_code)]
 
-use mlscale::model::hardware::{presets, ClusterSpec, Heterogeneity, LinkSpec, NodeSpec, RackSpec};
-use mlscale::model::models::gd::{GdComm, GradientDescentModel};
 use mlscale::model::planner::{Planner, Pricing};
-use mlscale::model::speedup::{log_spaced_ns, DENSE_EVAL_MAX_N};
-use mlscale::model::straggler::{StragglerGdModel, StragglerModel};
-use mlscale::model::units::{BitsPerSec, FlopCount, FlopsRate, Seconds};
+use mlscale::model::speedup::log_spaced_ns;
+use mlscale::model::units::Seconds;
 use mlscale::scenario::{
-    run_adaptive, run_checkpointed as sweep_run, run_sharded, write_outcome, BpSpec, ScenarioSpec,
-    SweepOutcome, SweepSummary, DEFAULT_PER_POINT_MAX,
+    run_adaptive, run_checkpointed as sweep_run, run_sharded, write_outcome, BpSpec, GdSpec,
+    HeteroSpec, PlanSpec, ScenarioSpec, SpecError, StragglerSpec, SweepOutcome, SweepSummary,
+    DEFAULT_PER_POINT_MAX,
 };
-use mlscale::workloads::experiments::figures;
 use std::collections::HashMap;
 use std::process::exit;
 
@@ -134,36 +137,21 @@ fn check_allowed(command: &str, flags: &HashMap<String, String>, allowed: &[&str
     }
 }
 
-/// Parses a required (or defaulted) finite, non-negative number, naming
-/// the flag on failure.
-fn num(flags: &HashMap<String, String>, key: &str, default: Option<f64>) -> f64 {
-    let v = match flags.get(key) {
-        Some(v) => match v.parse::<f64>() {
-            Ok(x) => x,
-            Err(_) => die(format_args!("--{key}: cannot parse {v:?} as a number")),
-        },
-        None => match default {
-            Some(d) => d,
-            None => die(format_args!("missing required flag --{key}")),
-        },
-    };
-    if !v.is_finite() || v < 0.0 {
-        die(format_args!(
-            "--{key}: expected a finite non-negative number, got {v}"
-        ));
-    }
-    v
+/// Parses one number of a flag value, naming the flag on failure. Only
+/// the syntax is checked here: ranges are the scenario validator's.
+fn number(flag: &str, raw: &str) -> f64 {
+    raw.parse()
+        .unwrap_or_else(|_| die(format_args!("--{flag}: cannot parse {raw:?} as a number")))
 }
 
-/// Like [`num`] but rejects zero — for quantities the models divide by
-/// (flop rates, bandwidths, workload sizes), where 0 would otherwise
-/// surface as a panic or an inf/NaN curve deep inside the evaluation.
-fn pos(flags: &HashMap<String, String>, key: &str, default: Option<f64>) -> f64 {
-    let v = num(flags, key, default);
-    if v == 0.0 {
-        die(format_args!("--{key}: must be positive, got 0"));
-    }
-    v
+/// Parses an optional number flag.
+fn float(flags: &HashMap<String, String>, key: &str) -> Option<f64> {
+    flags.get(key).map(|v| number(key, v))
+}
+
+/// Parses a number flag the command cannot run without.
+fn required(flags: &HashMap<String, String>, key: &str) -> f64 {
+    float(flags, key).unwrap_or_else(|| die(format_args!("missing required flag --{key}")))
 }
 
 /// Parses a strictly positive integer (no silent truncation of `3.7` or
@@ -184,17 +172,16 @@ fn int(flags: &HashMap<String, String>, key: &str, default: Option<usize>) -> us
     }
 }
 
-/// Parses a non-negative integer (unlike [`int`], zero is allowed —
-/// `--backup-k 0` explicitly disables the mitigation).
-fn uint(flags: &HashMap<String, String>, key: &str, default: usize) -> usize {
-    match flags.get(key) {
-        Some(v) => v.parse::<usize>().unwrap_or_else(|_| {
-            die(format_args!(
-                "--{key}: cannot parse {v:?} as a non-negative integer"
-            ))
-        }),
-        None => default,
-    }
+/// Parses an optional non-negative integer flag (no silent truncation of
+/// `3.7` or `-1`); which values are in range is the scenario validator's
+/// call.
+fn uint(flags: &HashMap<String, String>, key: &str) -> Option<usize> {
+    let v = flags.get(key)?;
+    Some(v.parse().unwrap_or_else(|_| {
+        die(format_args!(
+            "--{key}: cannot parse {v:?} as a non-negative integer"
+        ))
+    }))
 }
 
 /// Straggler-scenario flags (valid for `gd` and `plan`, composable with
@@ -202,144 +189,57 @@ fn uint(flags: &HashMap<String, String>, key: &str, default: usize) -> usize {
 /// orthogonal runtime axis).
 const STRAGGLER_FLAGS: &[&str] = &["straggler", "jitter", "hetero", "backup-k"];
 
-/// One numeric field of a colon-separated spec value, naming flag and
-/// field on failure.
-fn spec_num(flag: &str, field: &str, raw: &str) -> f64 {
-    match raw.parse::<f64>() {
-        Ok(v) if v.is_finite() => v,
-        _ => die(format_args!(
-            "--{flag}: cannot parse {field} {raw:?} as a finite number"
-        )),
-    }
-}
-
-/// Parses `--straggler` / `--jitter` into a delay distribution.
-fn parse_straggler_model(flags: &HashMap<String, String>) -> StragglerModel {
+/// Lowers `--straggler` / `--jitter` into the spec's delay distribution.
+fn straggler_flag(flags: &HashMap<String, String>) -> Option<StragglerSpec> {
     if flags.contains_key("straggler") && flags.contains_key("jitter") {
         die("--jitter is shorthand for --straggler jitter:S; pass only one of them");
     }
-    if let Some(spread) = flags.get("jitter") {
-        let s = spec_num("jitter", "spread", spread);
-        if s < 0.0 {
-            die(format_args!(
-                "--jitter: spread must be non-negative, got {s}"
-            ));
-        }
-        return StragglerModel::BoundedJitter { spread: s };
+    if let Some(spread) = float(flags, "jitter") {
+        return Some(StragglerSpec::Jitter { spread });
     }
-    let Some(spec) = flags.get("straggler") else {
-        return StragglerModel::Deterministic;
-    };
+    let spec = flags.get("straggler")?;
     let parts: Vec<&str> = spec.split(':').collect();
-    match parts.as_slice() {
-        ["det"] => StragglerModel::Deterministic,
-        ["jitter", s] => {
-            let spread = spec_num("straggler", "spread", s);
-            if spread < 0.0 {
-                die(format_args!(
-                    "--straggler: jitter spread must be non-negative, got {spread}"
-                ));
-            }
-            StragglerModel::BoundedJitter { spread }
-        }
-        ["exp", m] => {
-            let mean = spec_num("straggler", "mean", m);
-            if mean < 0.0 {
-                die(format_args!(
-                    "--straggler: exponential mean must be non-negative, got {mean}"
-                ));
-            }
-            StragglerModel::ExponentialTail { mean }
-        }
-        ["lognormal", mu, sigma] => {
-            let mu = spec_num("straggler", "mu", mu);
-            let sigma = spec_num("straggler", "sigma", sigma);
-            if sigma < 0.0 {
-                die(format_args!(
-                    "--straggler: lognormal sigma must be non-negative, got {sigma}"
-                ));
-            }
-            StragglerModel::LogNormalTail { mu, sigma }
-        }
+    Some(match parts.as_slice() {
+        ["det"] => StragglerSpec::Det,
+        ["jitter", spread] => StragglerSpec::Jitter {
+            spread: number("straggler", spread),
+        },
+        ["exp", mean] => StragglerSpec::Exp {
+            mean: number("straggler", mean),
+        },
+        ["lognormal", mu, sigma] => StragglerSpec::LogNormal {
+            mu: number("straggler", mu),
+            sigma: number("straggler", sigma),
+        },
         _ => die(format_args!(
             "unknown --straggler {spec:?} (use det, jitter:S, exp:MEAN or lognormal:MU:SIGMA)"
         )),
-    }
+    })
 }
 
-/// Parses `--hetero` into a heterogeneity spec, validating it against the
-/// cluster (rack heterogeneity needs a rack topology).
-fn parse_hetero(flags: &HashMap<String, String>, cluster: &ClusterSpec) -> Heterogeneity {
-    let Some(spec) = flags.get("hetero") else {
-        return Heterogeneity::Uniform;
-    };
+/// Lowers `--hetero` into the spec's heterogeneity.
+fn hetero_flag(flags: &HashMap<String, String>) -> Option<HeteroSpec> {
+    let spec = flags.get("hetero")?;
     let parts: Vec<&str> = spec.split(':').collect();
-    match parts.as_slice() {
-        ["slow", count, factor] => {
-            let count = count.parse::<usize>().unwrap_or_else(|_| {
+    Some(match parts.as_slice() {
+        ["slow", count, factor] => HeteroSpec::Slow {
+            count: count.parse().unwrap_or_else(|_| {
                 die(format_args!(
                     "--hetero: cannot parse worker count {count:?} as a non-negative integer"
                 ))
-            });
-            let factor = spec_num("hetero", "factor", factor);
-            if factor <= 0.0 {
-                die(format_args!(
-                    "--hetero: speed factor must be positive, got {factor}"
-                ));
-            }
-            Heterogeneity::SlowWorkers { count, factor }
-        }
-        ["rack", factor] => {
-            if cluster.rack.is_none() {
-                die(
-                    "--hetero rack:FACTOR needs a rack topology: pass --rack-size \
-                     or use --preset pod (flat presets like fig2/fig3 conflict with it)",
-                );
-            }
-            let factor = spec_num("hetero", "factor", factor);
-            if factor <= 0.0 {
-                die(format_args!(
-                    "--hetero: speed factor must be positive, got {factor}"
-                ));
-            }
-            Heterogeneity::RackDecay { factor }
-        }
+            }),
+            factor: number("hetero", factor),
+        },
+        ["rack", factor] => HeteroSpec::Rack {
+            factor: number("hetero", factor),
+        },
         _ => die(format_args!(
             "unknown --hetero {spec:?} (use slow:COUNT:FACTOR or rack:FACTOR)"
         )),
-    }
+    })
 }
 
-/// Assembles the full straggler scenario for a command, or `None` when no
-/// scenario flag was given (deterministic output paths).
-fn parse_scenario(
-    flags: &HashMap<String, String>,
-    cluster: &ClusterSpec,
-    max_n: usize,
-) -> Option<(StragglerModel, Heterogeneity, usize)> {
-    let straggler = parse_straggler_model(flags);
-    let hetero = parse_hetero(flags, cluster);
-    let backup_k = uint(flags, "backup-k", 0);
-    if backup_k >= max_n {
-        die(format_args!(
-            "--backup-k: dropping {backup_k} workers leaves nothing at --max-n {max_n}; \
-             use a value below the cluster size"
-        ));
-    }
-    let scenario_given = flags.keys().any(|k| STRAGGLER_FLAGS.contains(&k.as_str()));
-    if !scenario_given {
-        return None;
-    }
-    if backup_k > 0 && straggler.is_zero() && hetero.is_uniform() {
-        die(
-            "--backup-k has no effect without a straggler distribution or \
-             heterogeneity; add --straggler/--jitter/--hetero or drop it",
-        );
-    }
-    Some((straggler, hetero, backup_k))
-}
-
-/// Flags accepted by the gd model builder (shared by `gd` and `plan`).
+/// Flags of the gd model (shared by `gd` and `plan`).
 const GD_MODEL_FLAGS: &[&str] = &[
     "preset",
     "params",
@@ -355,115 +255,66 @@ const GD_MODEL_FLAGS: &[&str] = &[
     "uplink-latency",
 ];
 
-fn gd_model(flags: &HashMap<String, String>) -> GradientDescentModel {
-    if let Some(preset) = flags.get("preset") {
-        // A preset is a complete hardware+workload configuration; mixing
-        // it with hand-set model flags would silently ignore them. Only
-        // --comm may override a preset (it swaps the collective, not the
-        // hardware or workload).
-        for &key in GD_MODEL_FLAGS
-            .iter()
-            .filter(|&&k| k != "preset" && k != "comm")
-        {
-            if flags.contains_key(key) {
-                die(format_args!(
-                    "--{key} conflicts with --preset {preset} (presets fix the model; \
-                     drop --preset to configure by hand)"
-                ));
-            }
-        }
-        // The models come from the canonical exhibit definitions, so the
-        // presets cannot drift from the figures they name.
-        let mut model = match preset.as_str() {
-            "fig2" => figures::fig2_model(),
-            "fig3" => figures::fig3_model(),
-            // The MNIST job on the two-tier rack pod (hierarchical study).
-            "pod" => GradientDescentModel {
-                cluster: presets::two_tier_pod(),
-                comm: GdComm::Hierarchical,
-                ..figures::fig2_model()
-            },
-            other => die(format_args!(
-                "unknown --preset {other:?} (use fig2, fig3 or pod)"
-            )),
-        };
-        if flags.contains_key("comm") {
-            model.comm = parse_comm(flags, &model.cluster);
-        }
-        return model;
-    }
-    let bandwidth = BitsPerSec::new(pos(flags, "bandwidth", Some(1e9)));
-    let latency = Seconds::new(num(flags, "latency", Some(0.0)));
-    let mut cluster = ClusterSpec::new(
-        NodeSpec::new(FlopsRate::new(pos(flags, "flops", None)), 1.0),
-        LinkSpec::new(bandwidth, latency),
-    );
-    if flags.contains_key("rack-size") {
-        let uplink = LinkSpec::new(
-            BitsPerSec::new(pos(flags, "uplink-bandwidth", Some(bandwidth.get()))),
-            Seconds::new(num(flags, "uplink-latency", Some(latency.as_secs()))),
-        );
-        cluster = cluster.with_racks(RackSpec::new(int(flags, "rack-size", None), uplink));
-    } else if flags.contains_key("uplink-bandwidth") || flags.contains_key("uplink-latency") {
-        die("--uplink-bandwidth/--uplink-latency need --rack-size to define the racks");
-    }
-    let bits = int(flags, "bits", Some(32));
-    let bits_per_param =
-        u32::try_from(bits).unwrap_or_else(|_| die(format_args!("--bits: {bits} is out of range")));
-    GradientDescentModel {
-        cost_per_example: FlopCount::new(pos(flags, "cost-per-example", None)),
-        batch_size: pos(flags, "batch", None),
-        params: pos(flags, "params", None),
-        bits_per_param,
-        cluster,
-        comm: parse_comm(flags, &cluster),
+/// Lowers the gd model, range and straggler flags into the scenario
+/// spec's [`GdSpec`]. Only flag syntax is checked here: every range and
+/// consistency rule is [`GdSpec::validate`]'s, the validator behind
+/// `mlscale sweep` and `mlscale serve`, so the three cannot disagree.
+fn gd_spec(flags: &HashMap<String, String>, default_max_n: usize) -> GdSpec {
+    GdSpec {
+        preset: flags.get("preset").cloned(),
+        params: float(flags, "params"),
+        cost_per_example: float(flags, "cost-per-example"),
+        batch: float(flags, "batch"),
+        bits: uint(flags, "bits"),
+        flops: float(flags, "flops"),
+        bandwidth: float(flags, "bandwidth"),
+        latency: float(flags, "latency"),
+        comm: flags.get("comm").cloned(),
+        rack_size: uint(flags, "rack-size"),
+        uplink_bandwidth: float(flags, "uplink-bandwidth"),
+        uplink_latency: float(flags, "uplink-latency"),
+        max_n: uint(flags, "max-n").unwrap_or(default_max_n),
+        log_points: uint(flags, "log-points"),
+        weak: flags.contains_key("weak"),
+        straggler: straggler_flag(flags),
+        hetero: hetero_flag(flags),
+        backup_k: uint(flags, "backup-k").unwrap_or(0),
+        plan: None,
     }
 }
 
-fn parse_comm(flags: &HashMap<String, String>, cluster: &ClusterSpec) -> GdComm {
-    match flags.get("comm").map(String::as_str).unwrap_or("tree") {
-        "tree" => GdComm::TwoStageTree,
-        "spark" => GdComm::Spark,
-        "linear" => GdComm::LinearFlat,
-        "ring" => GdComm::Ring,
-        "halving" => GdComm::HalvingDoubling,
-        "hier" => {
-            if cluster.rack.is_none() {
-                die("--comm hier needs a rack topology: pass --rack-size \
-                     (and optionally --uplink-bandwidth/--uplink-latency), \
-                     or use --preset pod");
-            }
-            GdComm::Hierarchical
-        }
-        "none" => GdComm::None,
-        other => die(format_args!(
-            "unknown --comm {other:?} (use tree, spark, linear, ring, halving, hier or none)"
-        )),
-    }
+/// Whether any straggler flag was given: even a zero-valued one selects
+/// the expected-time output of `gd` and `plan`.
+fn stochastic(flags: &HashMap<String, String>) -> bool {
+    flags.keys().any(|k| STRAGGLER_FLAGS.contains(&k.as_str()))
 }
 
-/// Parses `--log-points` and enforces the dense-mode ceiling: above
-/// [`DENSE_EVAL_MAX_N`] a dense `1..=max_n` sweep is one table entry and
-/// one model call per n, so it is refused unless the caller opts into the
-/// log-spaced ladder.
-fn log_points_flag(flags: &HashMap<String, String>, max_n: usize) -> Option<usize> {
-    let points = flags
-        .contains_key("log-points")
-        .then(|| int(flags, "log-points", None));
-    if let Some(p) = points {
-        if p < 2 {
-            die(format_args!(
-                "--log-points: a log-spaced ladder needs at least its two endpoints, got {p}"
-            ));
-        }
+/// Reports a spec diagnostic in flag terms and exits 2. The key path
+/// names the flag (`workload.rack_size` → `--rack-size`,
+/// `workload.plan.budget` → `--budget`, `workload.straggler.*` →
+/// `--straggler` or `--jitter`, whichever was given), and snake_case
+/// keys inside the message are spelled as flags too.
+fn die_spec(e: SpecError, flags: &HashMap<String, String>) -> ! {
+    let key = e.path.strip_prefix("workload.").unwrap_or(&e.path);
+    let key = key.strip_prefix("plan.").unwrap_or(key);
+    let key = key.split_once('.').map_or(key, |(head, _)| head);
+    let flag = match key {
+        "straggler" if flags.contains_key("jitter") => "jitter".to_string(),
+        _ => key.replace('_', "-"),
+    };
+    let words: Vec<String> = e.message.split(' ').map(flag_word).collect();
+    die(format_args!("--{flag}: {}", words.join(" ")))
+}
+
+/// One word of a diagnostic, spelled as a flag if it is a snake_case
+/// spec key (`log_points;` → `--log-points;`).
+fn flag_word(word: &str) -> String {
+    let key = word.trim_end_matches([';', ',', ':', ')']);
+    if key.contains('_') && key.bytes().all(|b| b.is_ascii_lowercase() || b == b'_') {
+        format!("--{}{}", key.replace('_', "-"), &word[key.len()..])
+    } else {
+        word.to_string()
     }
-    if points.is_none() && max_n > DENSE_EVAL_MAX_N {
-        die(format_args!(
-            "--max-n: {max_n} exceeds the dense-mode limit {DENSE_EVAL_MAX_N}; \
-             pass --log-points (e.g. 200) to evaluate a log-spaced ladder instead"
-        ));
-    }
-    points
 }
 
 /// The worker counts a gd/plan verb evaluates: dense `1..=max_n`, or a
@@ -483,44 +334,35 @@ fn cmd_gd(flags: &HashMap<String, String>) {
     allowed.extend(["max-n", "weak", "log-points"]);
     allowed.extend(STRAGGLER_FLAGS);
     check_allowed("gd", flags, &allowed);
-    let model = gd_model(flags);
-    let max_n = int(flags, "max-n", Some(32));
-    let log_points = log_points_flag(flags, max_n);
-    let (ns, range) = sweep_ns(max_n, log_points);
-    let scenario = parse_scenario(flags, &model.cluster, max_n);
-    let weak = flags.contains_key("weak");
-    let curve = match scenario {
-        Some((straggler, hetero, backup_k)) => {
-            let wrapped = StragglerGdModel {
-                inner: model,
-                straggler,
-                hetero,
-                backup_k,
-            };
-            if weak {
-                println!("expected weak scaling under stragglers (per-instance time), {range}:\n");
-                wrapped.weak_curve(ns)
-            } else {
-                println!(
-                    "expected strong scaling under stragglers (per-iteration time), {range}:\n"
-                );
-                wrapped.strong_curve(ns)
-            }
-        }
-        None if weak => {
-            println!("weak scaling (per-instance time), {range}:\n");
+    let gd = gd_spec(flags, 32);
+    let model = gd
+        .validate("workload")
+        .and_then(|()| gd.build())
+        .unwrap_or_else(|e| die_spec(e, flags));
+    let (ns, range) = sweep_ns(gd.max_n, gd.log_points);
+    let curve = match (stochastic(flags), gd.weak) {
+        (true, true) => {
+            println!("expected weak scaling under stragglers (per-instance time), {range}:\n");
             model.weak_curve(ns)
         }
-        None => {
-            println!("strong scaling (per-iteration time), {range}:\n");
+        (true, false) => {
+            println!("expected strong scaling under stragglers (per-iteration time), {range}:\n");
             model.strong_curve(ns)
+        }
+        (false, true) => {
+            println!("weak scaling (per-instance time), {range}:\n");
+            model.inner.weak_curve(ns)
+        }
+        (false, false) => {
+            println!("strong scaling (per-iteration time), {range}:\n");
+            model.inner.strong_curve(ns)
         }
     };
     println!("{}", curve.to_table());
     let (n_opt, s_opt) = curve.optimal();
     println!("optimal workers: {n_opt} (speedup {s_opt:.2}x)");
     println!("90%-of-peak knee: {}", curve.knee(0.9));
-    if let Some(onset) = model.comm_dominance_onset(max_n) {
+    if let Some(onset) = model.inner.comm_dominance_onset(gd.max_n) {
         println!("communication exceeds computation from n = {onset}");
     } else {
         println!("computation dominates across the whole range");
@@ -542,35 +384,26 @@ fn cmd_bp(flags: &HashMap<String, String>) {
             "max-n",
         ],
     );
-    let v = pos(flags, "vertices", None);
-    let e = pos(flags, "edges", None);
-    let d_max = pos(flags, "max-degree", Some((2.0 * e / v * 10.0).max(4.0)));
     let bp = BpSpec {
-        vertices: v,
-        edges: e,
-        max_degree: Some(d_max),
-        states: int(flags, "states", Some(2)),
-        flops: pos(flags, "flops", Some(7.6e9)),
+        vertices: required(flags, "vertices"),
+        edges: required(flags, "edges"),
+        max_degree: float(flags, "max-degree"),
+        states: uint(flags, "states").unwrap_or(2),
+        flops: float(flags, "flops").unwrap_or(7.6e9),
         // Shared memory (infinite bandwidth) unless given.
-        bandwidth: flags
-            .contains_key("bandwidth")
-            .then(|| pos(flags, "bandwidth", None)),
-        replication: num(flags, "replication", Some(0.5)),
-        max_n: int(flags, "max-n", Some(80)),
+        bandwidth: float(flags, "bandwidth"),
+        replication: float(flags, "replication").unwrap_or(0.5),
+        max_n: uint(flags, "max-n").unwrap_or(80),
     };
-    if bp.max_n > DENSE_EVAL_MAX_N {
-        die(format_args!(
-            "--max-n: {} exceeds the dense-mode limit {DENSE_EVAL_MAX_N}; \
-             the bp workload Monte-Carlo loads every n in 1..=max-n",
-            bp.max_n
-        ));
-    }
+    bp.validate("workload")
+        .unwrap_or_else(|e| die_spec(e, flags));
     // The same model a one-point bp scenario evaluates: the degree
     // sequence from the calibrated Zipf weights, Monte-Carlo edge loads.
     let (model, gamma) = bp.build();
     println!(
-        "degree model: Zipf gamma = {gamma:.3}, hub degree ~{d_max:.0}, avg {:.1}\n",
-        2.0 * e / v
+        "degree model: Zipf gamma = {gamma:.3}, hub degree ~{:.0}, avg {:.1}\n",
+        bp.hub_degree(),
+        2.0 * bp.edges / bp.vertices
     );
     let curve = model.curve(1..=bp.max_n);
     println!("{}", curve.to_table());
@@ -590,13 +423,22 @@ fn cmd_plan(flags: &HashMap<String, String>) {
     ]);
     allowed.extend(STRAGGLER_FLAGS);
     check_allowed("plan", flags, &allowed);
-    let model = gd_model(flags);
-    let iterations = pos(flags, "iterations", Some(1000.0));
-    let price = pos(flags, "price", Some(1.0));
-    let max_n = int(flags, "max-n", Some(64));
-    let log_points = log_points_flag(flags, max_n);
-    let scenario = parse_scenario(flags, &model.cluster, max_n);
-    if scenario.is_some() {
+    let plan = PlanSpec {
+        iterations: float(flags, "iterations").unwrap_or(1000.0),
+        price: float(flags, "price").unwrap_or(1.0),
+        deadline: float(flags, "deadline"),
+        budget: float(flags, "budget"),
+    };
+    let gd = GdSpec {
+        plan: Some(plan),
+        ..gd_spec(flags, 64)
+    };
+    let model = gd
+        .validate("workload")
+        .and_then(|()| gd.build())
+        .unwrap_or_else(|e| die_spec(e, flags));
+    let stochastic = stochastic(flags);
+    if stochastic {
         println!("planning over *expected* times under the straggler scenario");
     }
     // The sweep is evaluated once into the planner's cached table (all
@@ -604,26 +446,14 @@ fn cmd_plan(flags: &HashMap<String, String>) {
     // straggler path additionally shares one order-statistic grid pass
     // across the whole sweep. With --log-points the table is a log-spaced
     // ladder refined around each optimum instead of a dense 1..=max_n scan.
-    let planner = match scenario {
-        Some((straggler, hetero, backup_k)) => {
-            let wrapped = StragglerGdModel {
-                inner: model,
-                straggler,
-                hetero,
-                backup_k,
-            };
-            match log_points {
-                Some(p) => wrapped.planner_log(iterations, max_n, Pricing::hourly(price), p),
-                None => wrapped.planner(iterations, max_n, Pricing::hourly(price)),
-            }
-        }
-        None => {
-            let time = move |n| model.strong_iteration_time(n) * iterations;
-            match log_points {
-                Some(p) => Planner::new_log(time, max_n, Pricing::hourly(price), p),
-                None => Planner::new_par(time, max_n, Pricing::hourly(price)),
-            }
-        }
+    let pricing = Pricing::hourly(plan.price);
+    let inner = model.inner;
+    let time = move |n| inner.strong_iteration_time(n) * plan.iterations;
+    let planner = match (stochastic, gd.log_points) {
+        (true, Some(p)) => model.planner_log(plan.iterations, gd.max_n, pricing, p),
+        (true, None) => model.planner(plan.iterations, gd.max_n, pricing),
+        (false, Some(p)) => Planner::new_log(time, gd.max_n, pricing, p),
+        (false, None) => Planner::new_par(time, gd.max_n, pricing),
     };
     let fastest = planner.fastest();
     let cheapest = planner.cheapest();
@@ -639,8 +469,7 @@ fn cmd_plan(flags: &HashMap<String, String>) {
         cheapest.time.as_secs(),
         cheapest.cost
     );
-    if flags.contains_key("deadline") {
-        let deadline = Seconds::new(num(flags, "deadline", None));
+    if let Some(deadline) = plan.deadline.map(Seconds::new) {
         match planner.cheapest_within_deadline(deadline) {
             Some(p) => println!(
                 "cheapest within {:.0} s deadline: n = {}, time {:.1} s, cost {:.2}",
@@ -650,14 +479,14 @@ fn cmd_plan(flags: &HashMap<String, String>) {
                 p.cost
             ),
             None => println!(
-                "no configuration up to n = {max_n} meets the {:.0} s deadline — \
+                "no configuration up to n = {} meets the {:.0} s deadline — \
                  the estimate prevented a doomed deployment",
+                gd.max_n,
                 deadline.as_secs()
             ),
         }
     }
-    if flags.contains_key("budget") {
-        let budget = num(flags, "budget", None);
+    if let Some(budget) = plan.budget {
         match planner.fastest_within_budget(budget) {
             Some(p) => println!(
                 "fastest within budget {budget:.2}: n = {}, time {:.1} s, cost {:.2}",

@@ -595,6 +595,195 @@ fn one_point_sweep_agrees_with_the_gd_verb() {
     std::fs::remove_dir_all(&out_dir).ok();
 }
 
+/// Sweeps a one-point scenario named `name` and returns its point result.
+fn one_point_result(name: &str, json: &str) -> mlscale::workloads::ExperimentResult {
+    let path = temp_scenario(name, json);
+    let out_dir = std::env::temp_dir().join(format!("mlscale-cli-{name}-{}", std::process::id()));
+    let sweep = mlscale(&[
+        "sweep",
+        path.to_str().unwrap(),
+        "--out",
+        out_dir.to_str().unwrap(),
+    ]);
+    assert!(sweep.status.success(), "stderr: {}", stderr_of(&sweep));
+    let point_json =
+        std::fs::read_to_string(out_dir.join(format!("{name}-p000.json"))).expect("point result");
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&out_dir).ok();
+    serde_json::from_str(&point_json).expect("point result parses")
+}
+
+fn stat(result: &mlscale::workloads::ExperimentResult, label: &str) -> f64 {
+    result
+        .stats
+        .iter()
+        .find(|s| s.label == label)
+        .unwrap_or_else(|| panic!("no {label:?} stat in {}", result.id))
+        .value
+}
+
+#[test]
+fn plan_verb_agrees_with_a_one_point_plan_scenario() {
+    let plan = mlscale(&[
+        "plan",
+        "--preset",
+        "fig2",
+        "--max-n",
+        "32",
+        "--iterations",
+        "100",
+        "--price",
+        "2.0",
+        "--deadline",
+        "2000",
+        "--budget",
+        "5",
+    ]);
+    assert!(plan.status.success(), "stderr: {}", stderr_of(&plan));
+    let stdout = String::from_utf8_lossy(&plan.stdout);
+    let point = one_point_result(
+        "plan-parity",
+        r#"{"name": "plan-parity", "workload": {"kind": "gd", "preset": "fig2", "max_n": 32,
+            "plan": {"iterations": 100, "price": 2.0, "deadline": 2000, "budget": 5}}}"#,
+    );
+    let line = |prefix: &str| {
+        stdout
+            .lines()
+            .find(|l| l.starts_with(prefix))
+            .unwrap_or_else(|| panic!("no {prefix:?} line in:\n{stdout}"))
+            .to_owned()
+    };
+    for which in ["fastest", "cheapest"] {
+        assert_eq!(
+            line(&format!("{which}:")),
+            format!(
+                "{:<10}n = {:>3}, time {:>10.1} s, cost {:>10.2}",
+                format!("{which}:"),
+                stat(&point, &format!("{which} n")),
+                stat(&point, &format!("{which} time s")),
+                stat(&point, &format!("{which} cost")),
+            )
+        );
+    }
+    let within_deadline = line("cheapest within 2000 s deadline:");
+    assert!(
+        within_deadline.contains(&format!(
+            "n = {}, ",
+            stat(&point, "cheapest n within deadline")
+        )) && within_deadline.ends_with(&format!(
+            "cost {:.2}",
+            stat(&point, "cheapest cost within deadline")
+        )),
+        "{within_deadline} vs {:?}",
+        point.stats
+    );
+    let within_budget = line("fastest within budget 5.00:");
+    assert!(
+        within_budget.contains(&format!(
+            "n = {}, time {:.1} s",
+            stat(&point, "fastest n within budget"),
+            stat(&point, "fastest time s within budget")
+        )),
+        "{within_budget} vs {:?}",
+        point.stats
+    );
+}
+
+#[test]
+fn bp_verb_agrees_with_a_one_point_bp_scenario() {
+    // The default hub degree leaves the optimum at max_n; a heavier hub
+    // puts it inside the range.
+    for (flags, fields) in [
+        (vec![], ""),
+        (vec!["--max-degree", "2000"], r#", "max_degree": 2000"#),
+    ] {
+        let mut args = vec![
+            "bp",
+            "--vertices",
+            "16259",
+            "--edges",
+            "99785",
+            "--max-n",
+            "32",
+        ];
+        args.extend(flags);
+        let bp = mlscale(&args);
+        assert!(bp.status.success(), "stderr: {}", stderr_of(&bp));
+        let stdout = String::from_utf8_lossy(&bp.stdout);
+        let point = one_point_result(
+            "bp-parity",
+            &format!(
+                r#"{{"name": "bp-parity", "workload": {{"kind": "bp", "vertices": 16259,
+                    "edges": 99785, "max_n": 32{fields}}}}}"#
+            ),
+        );
+        let gamma = format!("Zipf gamma = {:.3},", stat(&point, "zipf gamma"));
+        let optimum = format!("optimal workers: {} ", stat(&point, "optimal n"));
+        assert!(
+            stdout.contains(&gamma) && stdout.contains(&optimum),
+            "{args:?}: want {gamma:?} and {optimum:?} in:\n{stdout}"
+        );
+    }
+}
+
+#[test]
+fn bp_refuses_one_state_per_variable_as_the_scenario_validator_does() {
+    let out = mlscale(&[
+        "bp",
+        "--vertices",
+        "1000",
+        "--edges",
+        "3000",
+        "--states",
+        "1",
+        "--max-n",
+        "4",
+    ]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        out.stdout.is_empty(),
+        "nothing may print before the refusal"
+    );
+    let err = stderr_of(&out);
+    assert!(err.contains("--states"), "got: {err}");
+}
+
+#[test]
+fn plan_refuses_a_bad_deadline_or_budget_before_printing_anything() {
+    for (flag, value) in [("--deadline", "soon"), ("--budget", "-3")] {
+        let out = mlscale(&["plan", "--preset", "fig2", flag, value]);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}");
+        assert!(
+            out.stdout.is_empty(),
+            "{flag} {value}: printed before refusing:\n{}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+        let err = stderr_of(&out);
+        assert!(err.contains(flag) && err.contains(value), "got: {err}");
+    }
+}
+
+#[test]
+fn zero_jitter_with_backup_k_runs_as_its_scenario_validates() {
+    // A zero-valued straggler distribution still names one, so
+    // --backup-k is not a no-op flag here (the scenario validator's rule).
+    let out = mlscale(&["gd", "--preset", "fig2", "--jitter", "0", "--backup-k", "1"]);
+    assert!(out.status.success(), "stderr: {}", stderr_of(&out));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("optimal workers:"));
+    let path = temp_scenario(
+        "zero-jitter-backup",
+        r#"{"name": "t", "workload": {"kind": "gd", "preset": "fig2",
+            "straggler": {"kind": "jitter", "spread": 0}, "backup_k": 1}}"#,
+    );
+    let validate = mlscale(&["scenario", "validate", path.to_str().unwrap()]);
+    assert!(
+        validate.status.success(),
+        "stderr: {}",
+        stderr_of(&validate)
+    );
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn scenario_explain_prints_the_grid() {
     let out = mlscale(&[
