@@ -1,6 +1,5 @@
 //! Runs every exhibit reproduction (Fig 4 at the small scale) and writes
-//! all JSON results under `results/`. This regenerates the numbers
-//! recorded in EXPERIMENTS.md.
+//! all JSON results under `results/`, one `<id>.json` per exhibit.
 //!
 //! The exhibits are independent, so they fan out across threads
 //! ([`mlscale_core::par`], `MLSCALE_THREADS` to override) and each result

@@ -1,11 +1,8 @@
-//! # mlscale-bench — experiment binaries and criterion benchmarks
+//! # mlscale-bench — experiment binaries
 //!
 //! One binary per paper exhibit (`exp-table1`, `exp-fig1` … `exp-fig4`,
 //! `exp-ablations`, `exp-all`): each prints the exhibit's series in the
 //! paper's terms and writes the structured result to `results/<id>.json`.
-//! The criterion benches in `benches/` time the hot paths behind each
-//! exhibit (model evaluation, the Monte-Carlo estimator, partitioning, BP
-//! iterations, the simulator, the layer cost algebra).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -695,8 +695,8 @@ impl StragglerModel {
     /// disabled: the summed-harmonic / shared-grid exact path at *any*
     /// `n` (the grid coefficient still moves to log-space past
     /// [`LOGNORMAL_COEFF_LOOP_MAX_N`] — overflow is a bug, not a
-    /// regime). This is the reference the property suite and
-    /// `bench-scale` measure the asymptotic regime against; it is O(n)
+    /// regime). This is the reference the property suite measures the
+    /// asymptotic regime against, up to n = 10⁵; it is O(n)
     /// for exponential tails and pays the full fixed-grid quadrature for
     /// log-normal ones, so hot paths should not call it.
     ///

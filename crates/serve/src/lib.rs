@@ -45,8 +45,8 @@
 //! * **Overload** — one dedicated acceptor feeds a bounded queue
 //!   ([`Limits::queue_limit`]); when it is full the acceptor sheds the
 //!   connection immediately with `503` + `Retry-After: 1` instead of
-//!   queueing unboundedly. The `bench-serve` client retries shed
-//!   requests with jittered backoff.
+//!   queueing unboundedly. perfbench's `serve-mix` client retries shed
+//!   requests with a growing backoff.
 //! * **Shutdown** — `mlscale serve` installs SIGTERM/SIGINT handlers
 //!   ([`signal`]); on either, the acceptor stops accepting, idle
 //!   keep-alive reads are unblocked, in-flight requests finish and are

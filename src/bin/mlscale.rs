@@ -38,53 +38,55 @@ use mlscale::scenario::{
 use std::collections::HashMap;
 use std::process::exit;
 
+/// Printed, to stderr, when `mlscale` runs with no arguments.
+const USAGE: &str = "\
+usage: mlscale <gd|bp|plan|sweep|scenario|serve> [--flag value]...
+
+gd   — gradient-descent speedup curve
+     --preset fig2|fig3|pod    load a paper/pod configuration
+     --params W --cost-per-example C --batch S --bits 32|64
+     --flops F --bandwidth B   effective flop/s and bit/s
+     --latency s               per-message link latency (alpha)
+     --comm tree|spark|linear|ring|halving|hier|none
+     --rack-size N             workers per rack (required by hier)
+     --uplink-bandwidth B --uplink-latency s   inter-rack uplink
+     --max-n N [--weak]        evaluate 1..=N, weak scaling optional
+     --log-points P            evaluate a P-point log-spaced ladder
+                               to N instead of every n (required
+                               above the dense-mode limit)
+     --straggler det|jitter:S|exp:MEAN|lognormal:MU:SIGMA
+                               per-worker delay distribution (expected times)
+     --jitter S                shorthand for --straggler jitter:S
+     --hetero slow:COUNT:FACTOR|rack:FACTOR   mixed-speed workers
+     --backup-k K              drop the slowest K workers per step
+bp   — graph-inference speedup curve (Monte-Carlo max-edges model)
+     --vertices V --edges E --max-degree D --states S
+     --flops F [--bandwidth B --replication R] --max-n N
+plan — cost/deadline provisioning over the gd model
+     (gd flags) --iterations K --price $/node-hour
+     [--deadline seconds | --budget amount] [--log-points P]
+sweep <file.json> [--out DIR] [--resume] [--adaptive]
+     [--per-point-max N]
+     evaluate the scenario's grid and write results plus a
+     roll-up (default DIR: results/sweeps/<name>). Grids up to
+     --per-point-max points (default 2048) write one JSON file
+     per point; larger grids stream into NDJSON shards of that
+     many records, never holding more than one shard in memory.
+     Completed work is journaled and --resume skips it (refused
+     if the scenario changed). --adaptive (or \"adaptive\": true
+     in the spec) evaluates a coarse sub-grid and refines only
+     around the (cost, time) Pareto frontier. A machine-readable
+     `summary {...}` line closes every sweep
+scenario <validate|explain> <file.json>
+     check a scenario spec / print its expanded grid
+serve [--addr HOST:PORT] [--threads N]
+     long-lived planner daemon: POST scenario-spec JSON to
+     /gd, /plan or /sweep (default addr 127.0.0.1:7878; port 0
+     picks a free port; threads default to MLSCALE_THREADS or
+     the machine width)";
+
 fn usage() -> ! {
-    eprintln!(
-        "usage: mlscale <gd|bp|plan|sweep|scenario|serve> [--flag value]...\n\
-         \n\
-         gd   — gradient-descent speedup curve\n\
-              --preset fig2|fig3|pod    load a paper/pod configuration\n\
-              --params W --cost-per-example C --batch S --bits 32|64\n\
-              --flops F --bandwidth B   effective flop/s and bit/s\n\
-              --latency s               per-message link latency (alpha)\n\
-              --comm tree|spark|linear|ring|halving|hier|none\n\
-              --rack-size N             workers per rack (required by hier)\n\
-              --uplink-bandwidth B --uplink-latency s   inter-rack uplink\n\
-              --max-n N [--weak]        evaluate 1..=N, weak scaling optional\n\
-              --log-points P            evaluate a P-point log-spaced ladder\n\
-                                        to N instead of every n (required\n\
-                                        above the dense-mode limit)\n\
-              --straggler det|jitter:S|exp:MEAN|lognormal:MU:SIGMA\n\
-                                        per-worker delay distribution (expected times)\n\
-              --jitter S                shorthand for --straggler jitter:S\n\
-              --hetero slow:COUNT:FACTOR|rack:FACTOR   mixed-speed workers\n\
-              --backup-k K              drop the slowest K workers per step\n\
-         bp   — graph-inference speedup curve (Monte-Carlo max-edges model)\n\
-              --vertices V --edges E --max-degree D --states S\n\
-              --flops F [--bandwidth B --replication R] --max-n N\n\
-         plan — cost/deadline provisioning over the gd model\n\
-              (gd flags) --iterations K --price $/node-hour\n\
-              [--deadline seconds | --budget amount] [--log-points P]\n\
-         sweep <file.json> [--out DIR] [--resume] [--adaptive]\n\
-              [--per-point-max N]\n\
-              evaluate the scenario's grid and write results plus a\n\
-              roll-up (default DIR: results/sweeps/<name>). Grids up to\n\
-              --per-point-max points (default 2048) write one JSON file\n\
-              per point; larger grids stream into NDJSON shards of that\n\
-              many records, never holding more than one shard in memory.\n\
-              Completed work is journaled and --resume skips it (refused\n\
-              if the scenario changed). --adaptive (or \"adaptive\": true\n\
-              in the spec) evaluates a coarse sub-grid and refines only\n\
-              around the (cost, time) Pareto frontier. A machine-readable\n\
-              `summary {{...}}` line closes every sweep\n\
-         scenario <validate|explain> <file.json>\n\
-              check a scenario spec / print its expanded grid\n\
-         serve [--addr HOST:PORT] [--threads N]\n\
-              long-lived planner daemon: POST scenario-spec JSON to\n\
-              /gd, /plan or /sweep (default addr 127.0.0.1:7878; port 0\n\
-              picks a free port; threads default to MLSCALE_THREADS or\n\
-              the machine width)"
-    );
+    eprintln!("{USAGE}");
     exit(2)
 }
 

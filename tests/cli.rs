@@ -1208,3 +1208,22 @@ fn one_point_log_sweep_runs() {
     std::fs::remove_file(&path).ok();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn no_arguments_prints_indented_usage_to_stderr() {
+    let out = mlscale(&[]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "usage must not touch stdout");
+    let err = stderr_of(&out);
+    assert!(err.starts_with("usage: mlscale "), "got: {err}");
+    // Flags sit under their verb, and wrapped descriptions under their
+    // flag's description column, so no continuation reads as a new entry.
+    assert!(
+        err.contains("\n     --preset fig2|fig3|pod    load a paper/pod configuration\n"),
+        "flag lines lost their indentation:\n{err}"
+    );
+    assert!(
+        err.contains("\n                               to N instead of every n (required\n"),
+        "wrapped lines lost their indentation:\n{err}"
+    );
+}

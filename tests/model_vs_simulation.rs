@@ -8,7 +8,7 @@ use mlscale::model::hardware::{presets, ClusterSpec, Heterogeneity, LinkSpec, No
 use mlscale::model::metrics::Comparison;
 use mlscale::model::models::asyncgd::AsyncGdModel;
 use mlscale::model::models::gd::{GdComm, GradientDescentModel};
-use mlscale::model::straggler::StragglerModel;
+use mlscale::model::straggler::{StragglerGdModel, StragglerModel};
 use mlscale::model::units::{Bits, BitsPerSec, FlopCount, FlopsRate, Seconds};
 use mlscale::sim::bsp::{
     simulate, simulate_with_stragglers, BspConfig, BspProgram, CommPhase, StragglerSim,
@@ -17,6 +17,7 @@ use mlscale::sim::bsp::{
 use mlscale::sim::collectives::{BroadcastKind, ReduceKind};
 use mlscale::sim::overhead::OverheadModel;
 use mlscale::sim::paramserver::{simulate_async, ParamServerConfig};
+use mlscale::workloads::experiments::figures::fig2_model;
 use mlscale::workloads::gd::GdWorkload;
 
 fn test_cluster() -> ClusterSpec {
@@ -456,6 +457,33 @@ fn straggler_workload_end_to_end_tracks_expected_curve() {
         mape < 5.0,
         "straggler workload must track its analytic twin: MAPE {mape:.2}%"
     );
+}
+
+#[test]
+fn straggler_sim_tracks_expected_iteration_time_at_large_n() {
+    // The Fig 2 job dropping its slowest worker per step, at n = 10⁴ and
+    // 10⁵: far past both tails' asymptotic crossovers, so the analytic
+    // side runs the extreme-value order statistics while the seeded
+    // simulation draws every worker's delay. Communication dominates the
+    // iteration here; the straggler term is 0.1–1.5 % of it.
+    let lognormal = StragglerModel::LogNormalTail {
+        mu: -2.0,
+        sigma: 0.8,
+    };
+    for model in [StragglerModel::ExponentialTail { mean: 0.05 }, lognormal] {
+        let analytic = StragglerGdModel {
+            straggler: model,
+            backup_k: 1,
+            ..StragglerGdModel::deterministic(fig2_model())
+        };
+        let workload = GdWorkload::ideal(fig2_model()).with_stragglers(model, analytic.hetero, 1);
+        assert_sim_tracks_model_over([10_000, 100_000], &format!("{model:?}"), |n| {
+            (
+                analytic.expected_strong_iteration_time(n).as_secs(),
+                workload.simulate_strong(n).as_secs(),
+            )
+        });
+    }
 }
 
 /// The async parameter-server regression fixture: apply cost comparable
