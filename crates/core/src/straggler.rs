@@ -19,6 +19,15 @@
 //!   `spread·n/(n+1)` for bounded jitter (exact), and a
 //!   Gauss-quadrature-free deterministic integration of the order-statistic
 //!   survival function for log-normal tails and heterogeneous clusters;
+//! * [`StragglerModel::expected_order_stats`] — the one evaluator of
+//!   `E[(n−k)-th of n delays]`, over any strictly ascending list of `n`:
+//!   exact forms below each tail's asymptotic crossover, extreme-value
+//!   forms above it, and [`StragglerModel::expected_order_stat`] is a
+//!   batch of one;
+//! * [`OrderStatCache`] — the one memo of those values. Every straggler
+//!   curve and planner fills the cache it is given with the keys it lacks
+//!   and reads the rest, so a sweep's planner reuses what its curve
+//!   computed;
 //! * [`StragglerModel::expected_barrier`] — the expected barrier time
 //!   `E[(n−k)-th order statistic of {b_i + X_i}]` over per-worker base
 //!   times `b_i` with the *drop-slowest-k* (backup worker / speculative
@@ -42,7 +51,7 @@ use rand::Rng;
 use rand_distr::{Distribution, Exp, LogNormal};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Distribution of the per-worker, per-superstep straggler delay added on
 /// top of a worker's deterministic compute time.
@@ -102,8 +111,8 @@ const HARMONIC_KAHAN_CUTOFF: usize = 64;
 ///
 /// Both [`harmonic`] and the running sum in
 /// [`StragglerModel::expected_order_stats`] are built on this one
-/// accumulator, so the per-call and batch paths stay bit-identical by
-/// construction at every `j`.
+/// accumulator, so every batch entry is bit-identical to a batch of one
+/// by construction at every `j`.
 #[derive(Clone, Copy)]
 struct HarmonicSum {
     j: usize,
@@ -326,10 +335,10 @@ impl LogNormalGrid {
             })
             .collect();
         // The transcendental sweep stays serial: ~4000 points are far too
-        // little work to pay for a thread spawn, and single
-        // `expected_order_stat` calls (the fallback path) build a grid
-        // per call — they must not allocate a thread team each time. The
-        // batch path parallelises across the per-`n` Simpson sums instead.
+        // little work to pay for a thread spawn, and a batch of one
+        // (`expected_order_stat`, a memo miss) builds a grid per call — it
+        // must not allocate a thread team each time. The batch
+        // parallelises across the per-`n` Simpson sums instead.
         let phi: Vec<f64> = zs.iter().map(|&z| normal_cdf(z)).collect();
         let exp_term: Vec<f64> = zs.iter().map(|&z| (mu + sigma * z).exp()).collect();
         let density: Vec<f64> = zs
@@ -651,23 +660,8 @@ impl StragglerModel {
 
     /// `E[(n−k)-th order statistic of n i.i.d. delay draws]` — the barrier
     /// cost when the slowest `k` workers are dropped (covered by backup
-    /// workers). `k = 0` is the plain maximum.
-    ///
-    /// Exponential tails use the exact harmonic-number form
-    /// `mean·(H_n − H_k)`; bounded jitter uses the exact
-    /// `spread·(n−k)/(n+1)`; log-normal tails integrate the order-statistic
-    /// density in the underlying normal's `z`-space.
-    ///
-    /// Past [`Self::asymptotic_crossover`] the tailed distributions
-    /// switch to their extreme-value asymptotic regime — the
-    /// Euler–Maclaurin harmonic expansion for exponential tails, the
-    /// Gumbel-normed windowed quadrature
-    /// ([`lognormal_order_stat_asymptotic`]) for log-normal tails — O(1)
-    /// in `n` where the exact forms are O(n) or lose the peak. Below the
-    /// crossover every value is bit-identical to the historical exact
-    /// path ([`Self::expected_order_stat_exact`]); at the crossover the
-    /// two regimes agree within 1e-3 relative (property-tested, measured
-    /// far tighter).
+    /// workers). `k = 0` is the plain maximum. A batch of one through
+    /// [`Self::expected_order_stats`].
     ///
     /// # Panics
     /// Panics when `n == 0` or `k >= n`.
@@ -675,20 +669,7 @@ impl StragglerModel {
         self.assert_valid();
         assert!(n >= 1, "need at least one draw");
         assert!(k < n, "cannot drop all {n} workers (k = {k})");
-        match *self {
-            StragglerModel::Deterministic => 0.0,
-            StragglerModel::BoundedJitter { spread } => spread * (n - k) as f64 / (n as f64 + 1.0),
-            StragglerModel::ExponentialTail { mean } => mean * (harmonic_any(n) - harmonic_any(k)),
-            StragglerModel::LogNormalTail { mu, sigma } => {
-                if sigma == 0.0 {
-                    return mu.exp();
-                }
-                if n > LOGNORMAL_ASYMPTOTIC_MIN_N {
-                    return lognormal_order_stat_asymptotic(mu, sigma, n, k);
-                }
-                LogNormalGrid::new(mu, sigma).expected_order_stat(n, k)
-            }
-        }
+        self.expected_order_stats(&[n], k)[0]
     }
 
     /// [`Self::expected_order_stat`] with the asymptotic crossover
@@ -719,7 +700,7 @@ impl StragglerModel {
         }
     }
 
-    /// The `n` above which [`Self::expected_order_stat`] switches to the
+    /// The `n` above which [`Self::expected_order_stats`] switches to the
     /// extreme-value asymptotic regime, or `None` for the variants whose
     /// exact form is already O(1) (deterministic, bounded jitter).
     pub fn asymptotic_crossover(&self) -> Option<usize> {
@@ -730,107 +711,85 @@ impl StragglerModel {
         }
     }
 
-    /// Shared-grid batch form of [`Self::expected_order_stat`]: returns
-    /// `E[(n−kₙ)-th order statistic of n draws]` for every `n ∈ 1..=n_max`
-    /// with `kₙ = drop_k.min(n−1)` (the same clamping the models apply).
+    /// The one evaluator of expected order statistics: for every `n` in
+    /// `ns`, `E[(n−kₙ)-th order statistic of n draws]` with
+    /// `kₙ = drop_k.min(n−1)` (the clamping the models apply), in input
+    /// order. `ns` may be dense, a log ladder or any gapped list, as long
+    /// as it is strictly ascending.
     ///
-    /// The expensive transcendentals — the underlying normal's CDF and
-    /// density for log-normal tails, the running harmonic sum for
-    /// exponential tails — are evaluated **once per grid point** and
-    /// reused for every `n`, so the whole table costs O(grid) CDF
-    /// evaluations instead of the O(grid·n_max) a per-`n` loop pays.
-    /// Every entry is **bit-identical** to the corresponding
-    /// `expected_order_stat(n, kₙ)` call: the per-`n` arithmetic (Simpson
-    /// weights, multiplication order, harmonic partial sums) is exactly
-    /// the serial path's, only the transcendental evaluations are shared.
-    pub fn expected_order_stats(&self, n_max: usize, drop_k: usize) -> Vec<f64> {
+    /// Exponential tails use the exact harmonic-number form
+    /// `mean·(H_n − H_k)`, with one running sum serving the whole list;
+    /// bounded jitter uses the exact `spread·(n−k)/(n+1)`; log-normal tails
+    /// integrate the order-statistic density in the underlying normal's
+    /// `z`-space over one grid whose transcendentals every entry shares,
+    /// the per-`n` Simpson sums fanned out across threads.
+    ///
+    /// Accuracy contract: up to [`Self::asymptotic_crossover`] every entry
+    /// is bit-identical to [`Self::expected_order_stat_exact`], whatever
+    /// else the list holds. Past it the tailed distributions switch to
+    /// their extreme-value forms — the Euler–Maclaurin harmonic expansion
+    /// for exponential tails, the Gumbel-normed windowed quadrature
+    /// ([`lognormal_order_stat_asymptotic`]) for log-normal ones — O(1) in
+    /// `n` where the exact forms are O(n) or lose the peak. At the
+    /// crossover the two regimes agree within 1e-3 relative
+    /// (property-tested, measured far tighter). Every entry equals a batch
+    /// of one bit for bit.
+    ///
+    /// # Panics
+    /// Panics when an entry is 0 or `ns` is not strictly ascending.
+    pub fn expected_order_stats(&self, ns: &[usize], drop_k: usize) -> Vec<f64> {
         self.assert_valid();
-        assert!(n_max >= 1, "need at least one draw");
+        assert!(ns.first() != Some(&0), "need at least one draw");
+        assert!(
+            ns.windows(2).all(|w| w[0] < w[1]),
+            "worker counts must be strictly ascending (no duplicates)"
+        );
+        let k_of = |n: usize| drop_k.min(n - 1);
         match *self {
-            StragglerModel::Deterministic => vec![0.0; n_max],
-            StragglerModel::BoundedJitter { spread } => (1..=n_max)
-                .map(|n| {
-                    let k = drop_k.min(n - 1);
-                    spread * (n - k) as f64 / (n as f64 + 1.0)
-                })
+            StragglerModel::Deterministic => vec![0.0; ns.len()],
+            StragglerModel::BoundedJitter { spread } => ns
+                .iter()
+                .map(|&n| spread * (n - k_of(n)) as f64 / (n as f64 + 1.0))
                 .collect(),
             StragglerModel::ExponentialTail { mean } => {
-                let h_fixed = harmonic_any(drop_k);
-                let mut h = HarmonicSum::new(); // running H_n ≡ harmonic(n)
-                (1..=n_max)
-                    .map(|n| {
-                        let h_prev = h.value(); // H_{n−1}
-                                                // Past the crossover the running sum hands over to
-                                                // the expansion — the same routing harmonic_any
-                                                // applies per-call, so batch and per-call entries
-                                                // stay bit-identical on both sides of the seam.
-                        let h_n = if n <= EXP_ASYMPTOTIC_MIN_N {
+                // One running sum, advanced to each n in turn; past the
+                // crossover the expansion takes over, as in harmonic_any.
+                let h_drop = harmonic_any(drop_k);
+                let mut h = HarmonicSum::new();
+                ns.iter()
+                    .map(|&n| {
+                        let (h_n, h_prev) = if n <= EXP_ASYMPTOTIC_MIN_N {
+                            while h.j < n - 1 {
+                                h.push();
+                            }
+                            let h_prev = h.value();
                             h.push();
-                            h.value()
+                            (h.value(), h_prev)
                         } else {
-                            harmonic_asymptotic(n)
+                            (harmonic_asymptotic(n), harmonic_any(n - 1))
                         };
-                        // k = n−1 only while n ≤ drop_k, where H_k = H_{n−1}.
-                        let h_k = if drop_k.min(n - 1) == drop_k {
-                            h_fixed
-                        } else if n - 1 <= EXP_ASYMPTOTIC_MIN_N {
-                            h_prev
-                        } else {
-                            harmonic_asymptotic(n - 1)
-                        };
-                        mean * (h_n - h_k)
+                        // k = n − 1 only while n ≤ drop_k, where H_k = H_{n−1}.
+                        mean * (h_n - if drop_k < n { h_drop } else { h_prev })
                     })
                     .collect()
             }
             StragglerModel::LogNormalTail { mu, sigma } => {
                 if sigma == 0.0 {
-                    return vec![mu.exp(); n_max];
+                    return vec![mu.exp(); ns.len()];
                 }
-                let grid = LogNormalGrid::new(mu, sigma);
-                let ns: Vec<usize> = (1..=n_max).collect();
-                // The per-n Simpson sums over the shared grid are
-                // independent — fan them out too.
-                par::map(&ns, |&n| {
-                    let k = drop_k.min(n - 1);
-                    if n > LOGNORMAL_ASYMPTOTIC_MIN_N {
-                        lognormal_order_stat_asymptotic(mu, sigma, n, k)
-                    } else {
-                        grid.expected_order_stat(n, k)
+                // The exact grid, built only if an entry sits below the
+                // crossover (the smallest is first).
+                let grid = ns
+                    .first()
+                    .filter(|&&n| n <= LOGNORMAL_ASYMPTOTIC_MIN_N)
+                    .map(|_| LogNormalGrid::new(mu, sigma));
+                par::map(ns, |&n| match &grid {
+                    Some(grid) if n <= LOGNORMAL_ASYMPTOTIC_MIN_N => {
+                        grid.expected_order_stat(n, k_of(n))
                     }
+                    _ => lognormal_order_stat_asymptotic(mu, sigma, n, k_of(n)),
                 })
             }
-        }
-    }
-
-    /// Sparse batch form of [`Self::expected_order_stat`]: one entry per
-    /// requested `n` (with `kₙ = drop_k.min(n−1)`), in input order. This
-    /// is the extreme-scale companion to
-    /// [`Self::expected_order_stats`] — a log-spaced ladder to `n = 10⁶`
-    /// costs O(ladder) model calls and memory instead of a
-    /// million-entry dense table. Log-normal tails share one quadrature
-    /// grid across the sub-crossover entries; every entry is
-    /// bit-identical to the corresponding per-call
-    /// [`Self::expected_order_stat`].
-    ///
-    /// # Panics
-    /// Panics when `ns` is empty or contains `0`.
-    pub fn expected_order_stats_sparse(&self, ns: &[usize], drop_k: usize) -> Vec<f64> {
-        self.assert_valid();
-        assert!(!ns.is_empty(), "need at least one worker count");
-        match *self {
-            StragglerModel::LogNormalTail { mu, sigma } if sigma != 0.0 => {
-                let grid = LogNormalGrid::new(mu, sigma);
-                par::map(ns, |&n| {
-                    assert!(n >= 1, "need at least one draw");
-                    let k = drop_k.min(n - 1);
-                    if n > LOGNORMAL_ASYMPTOTIC_MIN_N {
-                        lognormal_order_stat_asymptotic(mu, sigma, n, k)
-                    } else {
-                        grid.expected_order_stat(n, k)
-                    }
-                })
-            }
-            _ => par::map(ns, |&n| self.expected_order_stat(n, drop_k.min(n - 1))),
         }
     }
 
@@ -845,49 +804,13 @@ impl StragglerModel {
     /// Homogeneous bases route through the exact/1-D forms of
     /// [`Self::expected_order_stat`]; heterogeneous bases integrate the
     /// Poisson-binomial order-statistic survival function on a log-spaced
-    /// grid (deterministic quadrature, no sampling).
+    /// grid (deterministic quadrature, no sampling). This is
+    /// [`OrderStatCache::expected_barrier`] over a fresh cache.
     ///
     /// # Panics
     /// Panics when `bases` is empty or `drop_k >= bases.len()`.
     pub fn expected_barrier(&self, bases: &[f64], drop_k: usize) -> Seconds {
-        self.expected_barrier_with(bases, drop_k, &|n, k| self.expected_order_stat(n, k))
-    }
-
-    /// [`Self::expected_barrier`] with a caller-supplied source for the
-    /// homogeneous i.i.d. order statistic — a memo table or a shared-grid
-    /// batch ([`Self::expected_order_stats`]) instead of a fresh
-    /// quadrature per call. The source must return exactly
-    /// `expected_order_stat(n, k)` for the queried pair; both the memo
-    /// cache and the batch table do, bit for bit.
-    fn expected_barrier_with(
-        &self,
-        bases: &[f64],
-        drop_k: usize,
-        order_stat: &dyn Fn(usize, usize) -> f64,
-    ) -> Seconds {
-        self.assert_valid();
-        let n = bases.len();
-        assert!(n >= 1, "need at least one worker");
-        assert!(
-            drop_k < n,
-            "cannot drop all {n} workers (backup_k = {drop_k})"
-        );
-        let homogeneous = bases.iter().all(|&b| b == bases[0]);
-        if self.is_zero() {
-            // Zero jitter: the barrier is the (n−k)-th smallest base,
-            // computed without quadrature so the homogeneous case stays
-            // bit-identical to the deterministic model.
-            if drop_k == 0 {
-                return Seconds::new(bases.iter().copied().fold(f64::MIN, f64::max));
-            }
-            let mut sorted = bases.to_vec();
-            sorted.sort_by(f64::total_cmp);
-            return Seconds::new(sorted[n - 1 - drop_k]);
-        }
-        if homogeneous {
-            return Seconds::new(bases[0] + order_stat(n, drop_k));
-        }
-        Seconds::new(self.expected_barrier_hetero(bases, drop_k))
+        OrderStatCache::new(*self).expected_barrier(bases, drop_k)
     }
 
     /// Heterogeneous-base expected order statistic by quadrature:
@@ -944,103 +867,72 @@ fn effective_k(backup_k: usize, n: usize) -> usize {
     backup_k.min(n.saturating_sub(1))
 }
 
-/// Precomputed order statistics for a sweep: dense (`t[n−1]` for
-/// `n ∈ 1..=n_max`, the historical layout) below
-/// [`DENSE_EVAL_MAX_N`], keyed by `n` above it — a 10⁶-worker ladder
-/// stores its few hundred rungs instead of a million entries.
-enum OrderStatTable {
-    Dense(Vec<f64>),
-    Sparse(HashMap<usize, f64>),
-}
-
-/// The shared-grid table for a sweep over `ns`, or `None` when the
-/// barrier path cannot consume it: zero jitter (the exact sorted-base
-/// path never asks for an order statistic) or heterogeneous bases (the
-/// Poisson-binomial quadrature is used instead). Homogeneity is probed
-/// at `n_max` — every `Heterogeneity` variant yields prefix-structured
-/// speed factors, so an all-equal widest profile implies all-equal
-/// narrower ones; a wrong probe only costs the fallback path, never
-/// correctness.
-fn order_stat_table(
+/// The one scaffold behind every straggler curve and planner. It checks
+/// that `cache` holds `straggler`'s order statistics, fills it with the
+/// keys a sweep over `ns` will read and it lacks, and returns the expected
+/// time at any `n`: `finish(n, barrier)`, the barrier's order statistic
+/// read from `cache`. A key outside `ns` (a planner probing between
+/// ladder rungs) is computed on first read and memoised.
+///
+/// The fill is skipped where the barrier reads no order statistic: at
+/// zero jitter (the exact sorted-base path) and on heterogeneous bases
+/// (the Poisson-binomial quadrature). Homogeneity is probed at the widest
+/// `n`: every `Heterogeneity` variant yields prefix-structured speed
+/// factors, so all-equal widest bases imply all-equal narrower ones, and
+/// a wrong probe only costs memo misses, never a changed result.
+fn cached_time<'a>(
+    cache: &'a OrderStatCache,
     straggler: StragglerModel,
     backup_k: usize,
     ns: &[usize],
-    probe_bases: &[f64],
-) -> Option<OrderStatTable> {
-    let homogeneous = probe_bases.iter().all(|&b| b == probe_bases[0]);
-    if !homogeneous || straggler.is_zero() {
-        return None;
-    }
-    // lint: allow(panic-free-lib): every caller collects a non-empty sweep before building the table
-    let n_max = ns.iter().copied().max().expect("non-empty sweep");
-    if n_max <= DENSE_EVAL_MAX_N {
-        Some(OrderStatTable::Dense(
-            straggler.expected_order_stats(n_max, backup_k),
-        ))
-    } else {
-        let values = straggler.expected_order_stats_sparse(ns, backup_k);
-        Some(OrderStatTable::Sparse(
-            ns.iter().copied().zip(values).collect(),
-        ))
-    }
-}
-
-impl StragglerModel {
-    /// An order-statistic source reading from `table` when present and
-    /// falling back to the per-`n` quadrature otherwise — both
-    /// bit-identical to [`Self::expected_order_stat`]. A sparse-table
-    /// miss (e.g. a planner refinement probing between ladder rungs)
-    /// also falls back per-call.
-    fn order_stat_from<'a>(
-        &self,
-        table: &'a Option<OrderStatTable>,
-    ) -> impl Fn(usize, usize) -> f64 + 'a {
-        let model = *self;
-        move |n, k| match table {
-            Some(OrderStatTable::Dense(t)) => t[n - 1],
-            Some(OrderStatTable::Sparse(t)) => t
-                .get(&n)
-                .copied()
-                .unwrap_or_else(|| model.expected_order_stat(n, k)),
-            None => model.expected_order_stat(n, k),
+    bases: impl Fn(usize) -> Vec<f64> + Sync + 'a,
+    finish: impl Fn(usize, Seconds) -> Seconds + Sync + 'a,
+) -> impl Fn(usize) -> Seconds + Sync + 'a {
+    assert_eq!(
+        cache.model(),
+        straggler,
+        "OrderStatCache was built for a different straggler model"
+    );
+    if let (false, Some(&n_max)) = (straggler.is_zero(), ns.iter().max()) {
+        let probe = bases(n_max);
+        if probe.iter().all(|&b| b == probe[0]) {
+            cache.fill(ns, backup_k);
         }
     }
+    move |n| {
+        assert!(n >= 1);
+        let barrier = cache.expected_barrier(&bases(n), effective_k(backup_k, n));
+        finish(n, barrier)
+    }
 }
 
-/// An order-statistic source: `(n, k) → E[(n−k)-th of n]`.
-type OrderStatFn<'a> = &'a dyn Fn(usize, usize) -> f64;
-
-/// Sweep scaffolding shared by the straggler curve builders: collect the
-/// worker counts, build the shared-grid order-statistic table when the
-/// barrier path can consume it, and fan the per-`n` evaluations out
-/// across threads — bit-identical to a serial per-`n` loop.
-fn sweep_curve(
+/// A speedup curve over `ns` through [`cached_time`], the per-`n`
+/// evaluations fanned out across threads ([`crate::par`]) — bit-identical
+/// to a serial per-`n` loop.
+fn cached_curve(
     ns: impl IntoIterator<Item = usize>,
+    cache: &OrderStatCache,
     straggler: StragglerModel,
     backup_k: usize,
-    probe_bases: &dyn Fn(usize) -> Vec<f64>,
-    time_via: &(dyn Fn(OrderStatFn, usize) -> Seconds + Sync),
+    bases: impl Fn(usize) -> Vec<f64> + Sync,
+    finish: impl Fn(usize, Seconds) -> Seconds + Sync,
 ) -> SpeedupCurve {
     let ns: Vec<usize> = ns.into_iter().collect();
     assert!(!ns.is_empty(), "need at least one worker count");
-    // lint: allow(panic-free-lib): the assert! above guarantees ns is non-empty
-    let n_max = ns.iter().copied().max().expect("non-empty");
-    let table = order_stat_table(straggler, backup_k, &ns, &probe_bases(n_max));
-    let times = par::map(&ns, |&n| time_via(&straggler.order_stat_from(&table), n));
+    let time = cached_time(cache, straggler, backup_k, &ns, bases, finish);
+    let times = par::map(&ns, |&n| time(n));
     SpeedupCurve::from_samples(ns.into_iter().zip(times))
 }
 
-/// Per-model memo cache for expected order statistics, keyed on `(n, k)`.
-///
-/// The batch sweep paths (curves, planner construction) already share
-/// one grid pass internally; this cache is for callers issuing repeated
-/// *ad-hoc* `expected_max`/`expected_barrier` queries — interactive
-/// what-if loops, custom sweeps over scenarios that revisit the same
-/// `(n, k)` pairs — where each distinct pair should hit the quadrature
-/// once and every repeat be a hash lookup. [`Self::warm`] batch-fills
-/// the cache through the shared-grid quadrature
-/// ([`StragglerModel::expected_order_stats`]), the cheap way to populate
-/// a whole `1..=n_max` sweep up front.
+/// The one memo of expected order statistics for one delay model, keyed
+/// on `(n, k)`. Every straggler curve and planner reads its homogeneous
+/// barrier terms from one: a fresh cache per call for the plain forms
+/// ([`StragglerGdModel::strong_curve`], [`StragglerGdModel::planner`]),
+/// a caller-owned one for the `_cached` forms, so a sweep's curve and
+/// planner — and every grid point sharing a delay distribution — compute
+/// each `(n, k)` once. Fills go through
+/// [`StragglerModel::expected_order_stats`] and compute only the keys not
+/// yet memoised, so overlapping fills cost hash lookups, not quadratures.
 ///
 /// Cached values are bit-identical to uncached
 /// [`StragglerModel::expected_order_stat`] calls, so routing a hot path
@@ -1052,9 +944,6 @@ fn sweep_curve(
 pub struct OrderStatCache {
     model: StragglerModel,
     memo: Mutex<HashMap<(usize, usize), f64>>,
-    /// `(drop_k, n_max)` warm passes already taken, so a shared cache
-    /// skips redundant batch quadratures across requests.
-    warmed: Mutex<Vec<(usize, usize)>>,
 }
 
 impl OrderStatCache {
@@ -1063,7 +952,6 @@ impl OrderStatCache {
         Self {
             model,
             memo: Mutex::new(HashMap::new()),
-            warmed: Mutex::new(Vec::new()),
         }
     }
 
@@ -1072,65 +960,47 @@ impl OrderStatCache {
         self.model
     }
 
-    /// Number of non-dominated warm passes currently remembered — for
-    /// callers (and tests) asserting the list stays bounded across
-    /// repeated [`Self::warm`]s.
-    pub fn warmed_passes(&self) -> usize {
-        self.warmed
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+    fn memo(&self) -> MutexGuard<'_, HashMap<(usize, usize), f64>> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Batch-fills `(n, drop_k.min(n−1))` for every `n ∈ 1..=n_max` in a
-    /// single shared-grid pass. A pass already covered by an earlier warm
-    /// is skipped — the memo entries it would write are bit-identical to
-    /// the ones in place — and passes this one supersedes are pruned, so
-    /// the warmed list stays bounded by the number of *distinct* drop-k
-    /// regimes a long-lived cache (`mlscale serve`) ever sees, not by
-    /// the request count.
-    ///
-    /// Dominance: a pass `(k, m)` writes exactly the keys
-    /// `{(n, k.min(n−1)) : n ≤ m}`, so it is covered by `(k', m')` iff
-    /// `m ≤ m'` and the clamped drop counts agree on every `n ≤ m` —
-    /// `k == k'`, or both are clamped throughout (`k, k' ≥ m − 1`).
+    /// Fills `(n, drop_k.min(n−1))` for every `n ∈ 1..=n_max`: one batch
+    /// over the keys not yet memoised.
     pub fn warm(&self, n_max: usize, drop_k: usize) {
         assert!(n_max >= 1, "need at least one draw");
-        {
-            let mut warmed = self.warmed.lock().unwrap_or_else(PoisonError::into_inner);
-            if warmed.iter().any(|&(k, m)| {
-                m >= n_max && (k == drop_k || (k >= n_max - 1 && drop_k >= n_max - 1))
-            }) {
-                return;
-            }
-            warmed.retain(|&(k, m)| {
-                !(m <= n_max && (k == drop_k || (k >= m - 1 && drop_k >= m - 1)))
-            });
-            warmed.push((drop_k, n_max));
+        self.fill(&(1..=n_max).collect::<Vec<_>>(), drop_k);
+    }
+
+    /// Memoises `(n, drop_k.min(n−1))` for every `n` in `ns` (any order),
+    /// computing only the keys not yet held, in one
+    /// [`StragglerModel::expected_order_stats`] batch.
+    fn fill(&self, ns: &[usize], drop_k: usize) {
+        let mut missing: Vec<usize> = {
+            let memo = self.memo();
+            ns.iter()
+                .copied()
+                .filter(|&n| !memo.contains_key(&(n, effective_k(drop_k, n))))
+                .collect()
+        };
+        missing.sort_unstable();
+        missing.dedup();
+        if missing.is_empty() {
+            return;
         }
-        let table = self.model.expected_order_stats(n_max, drop_k);
-        let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
-        for (i, &v) in table.iter().enumerate() {
-            let n = i + 1;
-            memo.insert((n, drop_k.min(n - 1)), v);
+        let values = self.model.expected_order_stats(&missing, drop_k);
+        let mut memo = self.memo();
+        for (n, v) in missing.into_iter().zip(values) {
+            memo.insert((n, effective_k(drop_k, n)), v);
         }
     }
 
     /// Memoised [`StragglerModel::expected_order_stat`].
     pub fn expected_order_stat(&self, n: usize, k: usize) -> f64 {
-        if let Some(&v) = self
-            .memo
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&(n, k))
-        {
+        if let Some(&v) = self.memo().get(&(n, k)) {
             return v;
         }
         let v = self.model.expected_order_stat(n, k);
-        self.memo
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert((n, k), v);
+        self.memo().insert((n, k), v);
         v
     }
 
@@ -1142,8 +1012,29 @@ impl OrderStatCache {
     /// [`StragglerModel::expected_barrier`] with the homogeneous
     /// order-statistic term served from the memo.
     pub fn expected_barrier(&self, bases: &[f64], drop_k: usize) -> Seconds {
-        self.model
-            .expected_barrier_with(bases, drop_k, &|n, k| self.expected_order_stat(n, k))
+        let model = self.model;
+        model.assert_valid();
+        let n = bases.len();
+        assert!(n >= 1, "need at least one worker");
+        assert!(
+            drop_k < n,
+            "cannot drop all {n} workers (backup_k = {drop_k})"
+        );
+        if model.is_zero() {
+            // Zero jitter: the barrier is the (n−k)-th smallest base,
+            // computed without quadrature so the homogeneous case stays
+            // bit-identical to the deterministic model.
+            if drop_k == 0 {
+                return Seconds::new(bases.iter().copied().fold(f64::MIN, f64::max));
+            }
+            let mut sorted = bases.to_vec();
+            sorted.sort_by(f64::total_cmp);
+            return Seconds::new(sorted[n - 1 - drop_k]);
+        }
+        if bases.iter().all(|&b| b == bases[0]) {
+            return Seconds::new(bases[0] + self.expected_order_stat(n, drop_k));
+        }
+        Seconds::new(model.expected_barrier_hetero(bases, drop_k))
     }
 }
 
@@ -1153,9 +1044,12 @@ impl OrderStatCache {
 /// regime reuse each other's quadrature work; a fresh pool degenerates
 /// to the old per-run behaviour.
 ///
-/// Keyed by linear scan — `StragglerModel` is `PartialEq` but not
-/// `Eq`/`Hash` (f64 fields), and a server sees a handful of distinct
-/// models, not thousands.
+/// Keyed by linear scan under one lock — `StragglerModel` is `PartialEq`
+/// but not `Eq`/`Hash` (f64 fields) — and unbounded: every distinct
+/// model a caller asks for stays for the life of the pool. A daemon fed a
+/// new delay model per request grows it to tens of thousands of caches
+/// (`perfbench/DESIGN.md` measured it), so each lookup slows with the
+/// pool's size.
 #[derive(Default)]
 pub struct OrderStatCachePool {
     caches: Mutex<Vec<(StragglerModel, Arc<OrderStatCache>)>>,
@@ -1275,120 +1169,36 @@ impl StragglerGdModel {
         self.expected_weak_iteration_time(n) / n as f64
     }
 
-    /// Strong-scaling iteration time with the homogeneous order-statistic
-    /// term served from a caller-supplied source (shared-grid table or
-    /// memo) — bit-identical to [`Self::expected_strong_iteration_time`].
-    fn strong_iteration_time_via(
-        &self,
-        order_stat: &dyn Fn(usize, usize) -> f64,
-        n: usize,
-    ) -> Seconds {
-        assert!(n >= 1);
-        let barrier = self.straggler.expected_barrier_with(
-            &self.strong_bases(n),
-            effective_k(self.backup_k, n),
-            order_stat,
-        );
-        barrier + self.inner.comm_time(n)
-    }
-
-    /// Weak-scaling per-instance time via a caller-supplied
-    /// order-statistic source.
-    fn weak_per_instance_time_via(
-        &self,
-        order_stat: &dyn Fn(usize, usize) -> f64,
-        n: usize,
-    ) -> Seconds {
-        assert!(n >= 1);
-        let barrier = self.straggler.expected_barrier_with(
-            &self.weak_bases(n),
-            effective_k(self.backup_k, n),
-            order_stat,
-        );
-        (barrier + self.inner.comm_time(n)) / n as f64
-    }
-
-    /// Expected strong-scaling speedup curve over `ns`.
-    ///
-    /// The homogeneous order-statistic terms for the whole sweep come
-    /// from one shared-grid quadrature pass
-    /// ([`StragglerModel::expected_order_stats`]) and the per-`n`
-    /// evaluations fan out across threads ([`crate::par`]); both are
-    /// bit-identical to the serial per-`n` path.
+    /// Expected strong-scaling speedup curve over `ns`: one order-statistic
+    /// batch for the whole sweep, the per-`n` evaluations fanned out
+    /// across threads ([`crate::par`]), bit-identical to the serial
+    /// per-`n` path. [`Self::strong_curve_cached`] over a fresh cache.
     pub fn strong_curve(&self, ns: impl IntoIterator<Item = usize>) -> SpeedupCurve {
-        sweep_curve(
-            ns,
-            self.straggler,
-            self.backup_k,
-            &|n| self.strong_bases(n),
-            &|os, n| self.strong_iteration_time_via(os, n),
-        )
+        self.strong_curve_cached(ns, &OrderStatCache::new(self.straggler))
     }
 
     /// Expected weak-scaling per-instance speedup curve over `ns` (same
-    /// shared-grid + parallel evaluation as [`Self::strong_curve`]).
+    /// batch + parallel evaluation as [`Self::strong_curve`]).
     pub fn weak_curve(&self, ns: impl IntoIterator<Item = usize>) -> SpeedupCurve {
-        sweep_curve(
-            ns,
-            self.straggler,
-            self.backup_k,
-            &|n| self.weak_bases(n),
-            &|os, n| self.weak_per_instance_time_via(os, n),
-        )
-    }
-
-    /// [`Self::strong_curve`] over the geometric ladder
-    /// [`log_spaced_ns`]`(max_n, points)` — the extreme-scale form: a
-    /// `max_n = 10⁶` strong curve is O(`points`) expected-time
-    /// evaluations (sparse shared-grid order statistics, parallel
-    /// per-rung evaluation) instead of a million.
-    pub fn strong_curve_log(&self, max_n: usize, points: usize) -> SpeedupCurve {
-        self.strong_curve(log_spaced_ns(max_n, points))
-    }
-
-    /// [`Self::weak_curve`] over the geometric ladder — see
-    /// [`Self::strong_curve_log`].
-    pub fn weak_curve_log(&self, max_n: usize, points: usize) -> SpeedupCurve {
-        self.weak_curve(log_spaced_ns(max_n, points))
+        self.weak_curve_cached(ns, &OrderStatCache::new(self.straggler))
     }
 
     /// A [`Planner`] over the *expected* job time
     /// `iterations · E[t_iter(n)]` — provisioning answers (cheapest within
     /// deadline, fastest within budget) that price the straggler tail in,
-    /// rather than the deterministic best case. The sweep's order
-    /// statistics come from one shared-grid pass and the candidate sizes
-    /// are evaluated in parallel.
-    ///
-    /// Past [`DENSE_EVAL_MAX_N`] the dense `1..=max_n` sweep would cost
-    /// O(max_n) model calls to answer four questions, so construction
-    /// automatically routes to [`Self::planner_log`] with
-    /// [`Planner::DEFAULT_LOG_POINTS`] rungs.
+    /// rather than the deterministic best case.
+    /// [`Self::planner_cached`] over a fresh cache, dense up to
+    /// [`DENSE_EVAL_MAX_N`] and on a [`Planner::DEFAULT_LOG_POINTS`] ladder
+    /// past it.
     pub fn planner(&self, iterations: f64, max_n: usize, pricing: Pricing) -> Planner {
-        if max_n > DENSE_EVAL_MAX_N {
-            return self.planner_log(iterations, max_n, pricing, Planner::DEFAULT_LOG_POINTS);
-        }
-        let ns: Vec<usize> = (1..=max_n).collect();
-        let table = order_stat_table(
-            self.straggler,
-            self.backup_k,
-            &ns,
-            &self.strong_bases(max_n),
-        );
-        Planner::new_par(
-            move |n| {
-                self.strong_iteration_time_via(&self.straggler.order_stat_from(&table), n)
-                    * iterations
-            },
-            max_n,
-            pricing,
-        )
+        let cache = OrderStatCache::new(self.straggler);
+        self.planner_cached(iterations, max_n, pricing, None, &cache)
     }
 
     /// [`Self::planner`] over a log-spaced candidate ladder
-    /// ([`Planner::new_log`]): O(`points`) expected-time evaluations —
-    /// the ladder's order statistics from one sparse shared-grid pass,
-    /// refinement probes served per-call — so all four planner verbs at
-    /// `max_n = 10⁶` answer in well under a second.
+    /// ([`Planner::new_log`]): O(`points`) expected-time evaluations, so
+    /// all four planner verbs at `max_n = 10⁶` answer in well under a
+    /// second.
     pub fn planner_log(
         &self,
         iterations: f64,
@@ -1396,22 +1206,47 @@ impl StragglerGdModel {
         pricing: Pricing,
         points: usize,
     ) -> Planner {
-        let ns = log_spaced_ns(max_n, points);
-        let table = order_stat_table(
+        let cache = OrderStatCache::new(self.straggler);
+        self.planner_cached(iterations, max_n, pricing, Some(points), &cache)
+    }
+
+    /// The straggler planner with its order statistics read from `cache`
+    /// — bit-identical to [`Self::planner`] (`log_points: None`) and
+    /// [`Self::planner_log`] (`Some(points)`). A sweep point hands it the
+    /// cache its curve just filled, so the planner computes no order
+    /// statistic the curve already has. `None` past [`DENSE_EVAL_MAX_N`]
+    /// takes a [`Planner::DEFAULT_LOG_POINTS`] ladder, as a dense
+    /// `1..=max_n` sweep would cost O(max_n) model calls to answer four
+    /// questions.
+    ///
+    /// # Panics
+    /// Panics when the cache was built for a different delay model.
+    pub fn planner_cached(
+        &self,
+        iterations: f64,
+        max_n: usize,
+        pricing: Pricing,
+        log_points: Option<usize>,
+        cache: &OrderStatCache,
+    ) -> Planner {
+        let log_points =
+            log_points.or((max_n > DENSE_EVAL_MAX_N).then_some(Planner::DEFAULT_LOG_POINTS));
+        let ns = match log_points {
+            Some(points) => log_spaced_ns(max_n, points),
+            None => (1..=max_n).collect(),
+        };
+        let time = cached_time(
+            cache,
             self.straggler,
             self.backup_k,
             &ns,
-            &self.strong_bases(max_n),
+            |n| self.strong_bases(n),
+            |n, barrier| (barrier + self.inner.comm_time(n)) * iterations,
         );
-        Planner::new_log(
-            move |n| {
-                self.strong_iteration_time_via(&self.straggler.order_stat_from(&table), n)
-                    * iterations
-            },
-            max_n,
-            pricing,
-            points,
-        )
+        match log_points {
+            Some(points) => Planner::new_log(time, max_n, pricing, points),
+            None => Planner::new_par(time, max_n, pricing),
+        }
     }
 
     /// Expected strong-scaling curve with the homogeneous order-statistic
@@ -1422,9 +1257,7 @@ impl StragglerGdModel {
     /// models that differ only in hardware or collective while sharing one
     /// delay distribution; routing them through one cache means each
     /// distinct `(n, k)` quadrature runs once for the whole grid instead
-    /// of once per grid point. Warm the cache first
-    /// ([`OrderStatCache::warm`]) to fill a whole `1..=n_max` sweep in a
-    /// single shared-grid pass.
+    /// of once per grid point.
     ///
     /// # Panics
     /// Panics when the cache was built for a different delay model.
@@ -1433,7 +1266,14 @@ impl StragglerGdModel {
         ns: impl IntoIterator<Item = usize>,
         cache: &OrderStatCache,
     ) -> SpeedupCurve {
-        self.curve_cached(ns, cache, &|os, n| self.strong_iteration_time_via(os, n))
+        cached_curve(
+            ns,
+            cache,
+            self.straggler,
+            self.backup_k,
+            |n| self.strong_bases(n),
+            |n, barrier| barrier + self.inner.comm_time(n),
+        )
     }
 
     /// Expected weak-scaling per-instance curve served from a shared
@@ -1447,32 +1287,14 @@ impl StragglerGdModel {
         ns: impl IntoIterator<Item = usize>,
         cache: &OrderStatCache,
     ) -> SpeedupCurve {
-        self.curve_cached(ns, cache, &|os, n| self.weak_per_instance_time_via(os, n))
-    }
-
-    /// Shared scaffolding for the cache-served curves. The per-`n`
-    /// evaluations run serially here — after a [`OrderStatCache::warm`]
-    /// for this sweep's `(n_max, backup_k)` every lookup is a memo hit
-    /// and the loop is dominated by the (cheap) communication-model
-    /// evaluations, so fanning out would only add lock traffic.
-    fn curve_cached(
-        &self,
-        ns: impl IntoIterator<Item = usize>,
-        cache: &OrderStatCache,
-        time_via: &dyn Fn(OrderStatFn, usize) -> Seconds,
-    ) -> SpeedupCurve {
-        assert_eq!(
-            cache.model(),
+        cached_curve(
+            ns,
+            cache,
             self.straggler,
-            "OrderStatCache was built for a different straggler model"
-        );
-        let ns: Vec<usize> = ns.into_iter().collect();
-        assert!(!ns.is_empty(), "need at least one worker count");
-        let times: Vec<Seconds> = ns
-            .iter()
-            .map(|&n| time_via(&|n, k| cache.expected_order_stat(n, k), n))
-            .collect();
-        SpeedupCurve::from_samples(ns.into_iter().zip(times))
+            self.backup_k,
+            |n| self.weak_bases(n),
+            |n, barrier| (barrier + self.inner.comm_time(n)) / n as f64,
+        )
     }
 }
 
@@ -1549,24 +1371,18 @@ impl StragglerGraphModel {
         self.expected_comp_time(n) + self.inner.comm_time(n)
     }
 
-    /// Expected speedup curve over `ns` — one shared-grid order-statistic
-    /// pass for the sweep (when the base profile is homogeneous enough to
-    /// consume it), per-`n` evaluation fanned out across threads,
-    /// bit-identical to the serial per-`n` path.
+    /// Expected speedup curve over `ns` — one order-statistic batch for
+    /// the sweep (when the base profile is homogeneous enough to read
+    /// it), per-`n` evaluation fanned out across threads, bit-identical
+    /// to the serial per-`n` path.
     pub fn curve(&self, ns: impl IntoIterator<Item = usize>) -> SpeedupCurve {
-        sweep_curve(
+        cached_curve(
             ns,
+            &OrderStatCache::new(self.straggler),
             self.straggler,
             self.backup_k,
-            &|n| self.bases(n),
-            &|os, n| {
-                let barrier = self.straggler.expected_barrier_with(
-                    &self.bases(n),
-                    effective_k(self.backup_k, n),
-                    os,
-                );
-                barrier + self.inner.comm_time(n)
-            },
+            |n| self.bases(n),
+            |n, barrier| barrier + self.inner.comm_time(n),
         )
     }
 }
@@ -1641,7 +1457,7 @@ mod tests {
         // form exactly.
         let m = StragglerModel::ExponentialTail { mean: 1.7 };
         for drop_k in [0usize, 2, 5] {
-            let table = m.expected_order_stats(500, drop_k);
+            let table = m.expected_order_stats(&(1..=500).collect::<Vec<_>>(), drop_k);
             for (i, &v) in table.iter().enumerate() {
                 let n = i + 1;
                 let direct = m.expected_order_stat(n, drop_k.min(n - 1));
@@ -1971,7 +1787,10 @@ mod tests {
     fn cached_curves_are_bit_identical_to_uncached() {
         // Every straggler variant, with and without heterogeneity and
         // drop-k: serving the order statistics from a shared cache must
-        // not change a single bit relative to the per-curve path.
+        // not change a single bit relative to the per-curve path — nor
+        // may planners reading the cache the curves filled, dense or on a
+        // log ladder whose refinement probes land between rungs and past
+        // the curves' reach.
         let models = [
             StragglerModel::Deterministic,
             StragglerModel::BoundedJitter { spread: 2.0 },
@@ -2007,6 +1826,18 @@ mod tests {
                 let plain_w = m.weak_curve(1..=16);
                 let cached_w = m.weak_curve_cached(1..=16, &cache);
                 assert_eq!(plain_w.times(), cached_w.times(), "{straggler:?} weak");
+                let pricing = Pricing::hourly(2.0);
+                assert_eq!(
+                    m.planner_cached(100.0, 32, pricing, None, &cache).table(),
+                    m.planner(100.0, 32, pricing).table(),
+                    "{straggler:?} dense planner"
+                );
+                assert_eq!(
+                    m.planner_cached(100.0, 64, pricing, Some(6), &cache)
+                        .table(),
+                    m.planner_log(100.0, 64, pricing, 6).table(),
+                    "{straggler:?} log planner"
+                );
             }
         }
     }
@@ -2174,7 +2005,7 @@ mod tests {
         let m = StragglerModel::ExponentialTail { mean: 0.4 };
         let n_max = EXP_ASYMPTOTIC_MIN_N + 40;
         for drop_k in [0usize, 3] {
-            let table = m.expected_order_stats(n_max, drop_k);
+            let table = m.expected_order_stats(&(1..=n_max).collect::<Vec<_>>(), drop_k);
             for n in (EXP_ASYMPTOTIC_MIN_N - 3)..=n_max {
                 let direct = m.expected_order_stat(n, drop_k.min(n - 1));
                 assert_eq!(
@@ -2211,29 +2042,17 @@ mod tests {
     }
 
     #[test]
-    fn warm_prunes_dominated_passes() {
+    fn overlapping_warms_keep_the_memo_bit_identical() {
+        // Narrow, wide and repeated warms, then 50 nominal drop-k values
+        // that clamp to the same keys: each warm fills only what is
+        // missing, and the memo still answers bit-identically.
         let cache = OrderStatCache::new(StragglerModel::ExponentialTail { mean: 1.0 });
-        // Narrow pass then a wider one for the same drop_k: superseded.
         cache.warm(8, 0);
         cache.warm(32, 0);
-        assert_eq!(cache.warmed_passes(), 1, "wider pass absorbs narrower");
-        // Re-warming covered spans is a no-op.
         cache.warm(8, 0);
-        cache.warm(32, 0);
-        assert_eq!(cache.warmed_passes(), 1);
-        // Every drop_k ≥ n_max − 1 clamps to the same key set; repeated
-        // warms across 50 nominal drop-k values must stay bounded by the
-        // distinct effective regimes (0, 1, 2, and "all clamped").
-        let cache = OrderStatCache::new(StragglerModel::ExponentialTail { mean: 1.0 });
         for k in 0..50usize {
             cache.warm(4, k);
         }
-        assert!(
-            cache.warmed_passes() <= 4,
-            "50 warms must leave ≤ 4 passes, got {}",
-            cache.warmed_passes()
-        );
-        // And the memo still answers bit-identically after pruning.
         let direct = cache.model().expected_order_stat(4, 2);
         assert_eq!(cache.expected_order_stat(4, 2).to_bits(), direct.to_bits());
     }
@@ -2246,12 +2065,12 @@ mod tests {
             ..StragglerGdModel::deterministic(fig2_model())
         };
         let dense = m.strong_curve(1..=64);
-        let log = m.strong_curve_log(64, 12);
+        let log = m.strong_curve(log_spaced_ns(64, 12));
         for (&n, &t) in log.ns().iter().zip(log.times()) {
             assert_eq!(dense.time_at(n), Some(t), "strong n={n}");
         }
         let dense_w = m.weak_curve(1..=64);
-        let log_w = m.weak_curve_log(64, 12);
+        let log_w = m.weak_curve(log_spaced_ns(64, 12));
         for (&n, &t) in log_w.ns().iter().zip(log_w.times()) {
             assert_eq!(dense_w.time_at(n), Some(t), "weak n={n}");
         }

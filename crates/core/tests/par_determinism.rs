@@ -39,14 +39,25 @@ fn all_models(scale: f64, sigma: f64) -> [StragglerModel; 4] {
     ]
 }
 
+/// The panic message of `f`, which must panic.
+fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+    let payload = std::panic::catch_unwind(f).expect_err("must panic");
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
 #[test]
 fn shared_grid_matches_per_n_quadrature_exactly() {
     // The contract the golden fixtures rely on: the batch table is not
     // merely "within 1e-9" of the per-n path — it is the same f64, bit
     // for bit, for every variant, n ∈ 1..=64 and drop count.
+    let dense: Vec<usize> = (1..=64).collect();
     for model in all_models(0.35, 1.1) {
         for drop_k in [0usize, 1, 3] {
-            let table = model.expected_order_stats(64, drop_k);
+            let table = model.expected_order_stats(&dense, drop_k);
             for n in 1..=64usize {
                 let k = drop_k.min(n - 1);
                 let single = model.expected_order_stat(n, k);
@@ -57,6 +68,35 @@ fn shared_grid_matches_per_n_quadrature_exactly() {
                     table[n - 1]
                 );
             }
+        }
+    }
+    // A gapped batch straddling the coefficient-loop limit (512) and both
+    // asymptotic crossovers (8,192 and 10,000): below a family's
+    // crossover each entry is the exact path's f64, above it the
+    // per-call one's.
+    let gapped = [
+        1usize, 2, 7, 64, 512, 513, 8_192, 8_193, 10_000, 10_001, 1_000_000,
+    ];
+    for model in all_models(0.35, 1.1) {
+        let table = model.expected_order_stats(&gapped, 3);
+        let crossover = model.asymptotic_crossover().unwrap_or(usize::MAX);
+        for (&n, &v) in gapped.iter().zip(&table) {
+            let k = 3usize.min(n - 1);
+            let reference = if n <= crossover {
+                model.expected_order_stat_exact(n, k)
+            } else {
+                model.expected_order_stat(n, k)
+            };
+            assert_eq!(v.to_bits(), reference.to_bits(), "{model:?} n={n} k={k}");
+        }
+        for bad in [&[4usize, 4][..], &[8, 2]] {
+            let message = panic_message(|| {
+                model.expected_order_stats(bad, 0);
+            });
+            assert!(
+                message.contains("strictly ascending"),
+                "{model:?} {bad:?}: {message:?}"
+            );
         }
     }
 }
@@ -100,7 +140,7 @@ proptest! {
         drop_k in 0usize..4,
     ) {
         for model in all_models(scale, sigma) {
-            let table = model.expected_order_stats(48, drop_k);
+            let table = model.expected_order_stats(&(1..=48).collect::<Vec<_>>(), drop_k);
             for n in 1..=48usize {
                 let single = model.expected_order_stat(n, drop_k.min(n - 1));
                 let tol = 1e-9 * single.abs().max(1.0);

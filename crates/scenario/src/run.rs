@@ -8,10 +8,11 @@
 //!   additionally parallelises over `n` internally;
 //! * **stochastic** gd points are grouped by their delay distribution and
 //!   served from one shared [`OrderStatCache`] per distinct distribution,
-//!   so a grid that revisits the same `(n, k)` order statistics (sweeping
-//!   latency, collectives, rack shapes under one straggler regime) runs
-//!   each quadrature exactly once — bit-identical to evaluating every
-//!   point in isolation;
+//!   which each point's curve and planner both read, so a grid that
+//!   revisits the same `(n, k)` order statistics (sweeping latency,
+//!   collectives, rack shapes under one straggler regime) runs each
+//!   quadrature exactly once — bit-identical to evaluating every point in
+//!   isolation;
 //! * **exhibit** scenarios call the same experiment definitions as the
 //!   `exp-*`/`ext-*` binaries with the same defaults and seeds, so their
 //!   output is byte-identical to the binaries' golden fixtures.
@@ -198,18 +199,18 @@ fn eval_gd_points(
     let det: Vec<usize> = (0..points.len())
         .filter(|&i| gds[i].straggler_model().is_zero())
         .collect();
-    for (&i, result) in det
-        .iter()
-        .zip(par::map(&det, |&i| eval_gd(spec, &points[i], gds[i], None)))
-    {
+    for (&i, result) in det.iter().zip(par::map(&det, |&i| {
+        let cache = OrderStatCache::new(gds[i].straggler_model());
+        eval_gd(spec, &points[i], gds[i], &cache)
+    })) {
         sink(i, result?)?;
     }
 
     // Stochastic points: group by delay distribution, one shared
     // order-statistic cache per distinct distribution (drawn from the
     // caller's pool, so a daemon reuses them across requests). Each
-    // distinct backup_k in a group gets one shared-grid warm pass sized
-    // to the group's widest sweep; every curve then reads memo hits.
+    // point's curve and planner fill the cache with only the keys they
+    // lack, so every (n, k) is computed once per group.
     let mut stochastic: Vec<usize> = (0..points.len())
         .filter(|&i| !gds[i].straggler_model().is_zero())
         .collect();
@@ -220,25 +221,8 @@ fn eval_gd_points(
             .partition(|&&i| gds[i].straggler_model() == model);
         stochastic = rest;
         let cache = pool.cache_for(model);
-        let mut warmed: Vec<(usize, usize)> = Vec::new(); // (backup_k, n_max)
         for &i in &group {
-            let gd = gds[i];
-            // Log-spaced points skip the dense warm pass: warming 1..=max_n
-            // at extreme scale is exactly the O(max_n) cost the ladder
-            // avoids, and per-call memoisation covers the few rungs touched.
-            if gd.log_points.is_some() {
-                continue;
-            }
-            match warmed.iter_mut().find(|(k, _)| *k == gd.backup_k) {
-                Some((_, n_max)) => *n_max = (*n_max).max(gd.max_n),
-                None => warmed.push((gd.backup_k, gd.max_n)),
-            }
-        }
-        for &(backup_k, n_max) in &warmed {
-            cache.warm(n_max, backup_k);
-        }
-        for &i in &group {
-            sink(i, eval_gd(spec, &points[i], gds[i], Some(&cache))?)?;
+            sink(i, eval_gd(spec, &points[i], gds[i], &cache)?)?;
         }
     }
     Ok(())
@@ -248,18 +232,17 @@ fn eval_gd(
     spec: &ScenarioSpec,
     point: &GridPoint,
     gd: &GdSpec,
-    cache: Option<&OrderStatCache>,
+    cache: &OrderStatCache,
 ) -> Result<ExperimentResult, SpecError> {
     let model = gd.build()?;
     let ns: Vec<usize> = match gd.log_points {
         Some(points) => log_spaced_ns(gd.max_n, points),
         None => (1..=gd.max_n).collect(),
     };
-    let curve = match (gd.weak, cache) {
-        (false, Some(cache)) => model.strong_curve_cached(ns, cache),
-        (false, None) => model.strong_curve(ns),
-        (true, Some(cache)) => model.weak_curve_cached(ns, cache),
-        (true, None) => model.weak_curve(ns),
+    let curve = if gd.weak {
+        model.weak_curve_cached(ns, cache)
+    } else {
+        model.strong_curve_cached(ns, cache)
     };
     let mut result = point_result(spec, point).with_note(if gd.weak {
         "weak scaling: expected per-instance time, speedup relative to n = 1"
@@ -269,10 +252,8 @@ fn eval_gd(
     result = with_curve(result, &curve)?;
     if let Some(plan) = &gd.plan {
         let pricing = Pricing::hourly(plan.price);
-        let planner = match gd.log_points {
-            Some(points) => model.planner_log(plan.iterations, gd.max_n, pricing, points),
-            None => model.planner(plan.iterations, gd.max_n, pricing),
-        };
+        let planner =
+            model.planner_cached(plan.iterations, gd.max_n, pricing, gd.log_points, cache);
         let fastest = planner.fastest();
         let cheapest = planner.cheapest();
         result = result
@@ -855,5 +836,27 @@ mod tests {
         assert_eq!(pool.len(), 1, "one distinct delay model");
         assert_eq!(fresh, first);
         assert_eq!(fresh, second);
+
+        // A lognormal plan block, dense and on a log ladder: the planner
+        // reads the cache a wider spec already filled through the same
+        // pool, and its answers match a fresh run.
+        let lognormal = |max_n: usize, log_points: &str| {
+            ScenarioSpec::from_json(&format!(
+                r#"{{"name": "pool-plan",
+                    "workload": {{"kind": "gd", "preset": "fig2", "max_n": {max_n}{log_points},
+                                 "straggler": {{"kind": "lognormal", "mu": -2, "sigma": 0.8}},
+                                 "plan": {{"iterations": 1000, "price": 2, "deadline": 7200}}}},
+                    "sweep": [{{"param": "backup_k", "values": [0, 2]}}]}}"#
+            ))
+            .unwrap()
+        };
+        for log_points in ["", r#", "log_points": 6"#] {
+            let spec = lognormal(12, log_points);
+            let fresh = run(&spec).unwrap();
+            let pool = OrderStatCachePool::new();
+            run_pooled(&lognormal(40, log_points), &pool).unwrap();
+            assert_eq!(fresh, run_pooled(&spec, &pool).unwrap(), "{log_points:?}");
+            assert_eq!(pool.len(), 1);
+        }
     }
 }

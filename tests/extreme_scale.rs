@@ -146,7 +146,7 @@ proptest! {
         prop_assert!(v >= 0.0, "n=1e5 k={k}: {v}");
     }
 
-    /// The sparse batch evaluator agrees with per-call evaluation on an
+    /// The batch evaluator agrees with per-call evaluation on an
     /// arbitrary ladder spanning the crossover.
     #[test]
     fn sparse_batch_matches_per_call(
@@ -160,7 +160,7 @@ proptest! {
             StragglerModel::ExponentialTail { mean },
             StragglerModel::LogNormalTail { mu, sigma },
         ] {
-            let batch = model.expected_order_stats_sparse(&ns, k);
+            let batch = model.expected_order_stats(&ns, k);
             prop_assert_eq!(batch.len(), ns.len());
             for (&n, &b) in ns.iter().zip(&batch) {
                 let per_call = model.expected_order_stat(n, k.min(n - 1));
@@ -196,7 +196,7 @@ fn million_worker_curve_and_planner_answer() {
         },
     ] {
         let m = test_model(model);
-        let curve = m.strong_curve_log(1_000_000, 200);
+        let curve = m.strong_curve(log_spaced_ns(1_000_000, 200));
         let (n_opt, s_opt) = curve.optimal();
         assert!(
             n_opt >= 1 && s_opt >= 1.0,
