@@ -207,12 +207,17 @@ impl Heterogeneity {
         }
     }
 
-    /// Per-worker speed multipliers for `n` workers of `cluster`
-    /// (`result[w]` multiplies worker `w+1`'s compute rate).
+    /// Per-worker speed multipliers for `n` workers of `cluster` as
+    /// `(factor, count)` runs in worker order, equal neighbours merged:
+    /// `count` consecutive workers run at `factor`× nominal speed. This is
+    /// the one definition of the speed factors. `Uniform` is one run,
+    /// `SlowWorkers` at most two and `RackDecay` one per occupied rack, so
+    /// the straggler models never build an `n`-element vector to learn
+    /// that a cluster is homogeneous.
     ///
     /// # Panics
     /// Panics when a speed factor is not positive and finite.
-    pub fn speed_factors(&self, cluster: &ClusterSpec, n: usize) -> Vec<f64> {
+    pub fn speed_runs(&self, cluster: &ClusterSpec, n: usize) -> Vec<(f64, usize)> {
         let check = |f: f64| {
             assert!(
                 f > 0.0 && f.is_finite(),
@@ -221,21 +226,52 @@ impl Heterogeneity {
             f
         };
         match *self {
-            Heterogeneity::Uniform => vec![1.0; n],
+            Heterogeneity::Uniform => merged_runs([(1.0, n)]),
             Heterogeneity::SlowWorkers { count, factor } => {
-                check(factor);
-                (0..n)
-                    .map(|w| if w < count { factor } else { 1.0 })
-                    .collect()
+                let slow = count.min(n);
+                merged_runs([(check(factor), slow), (1.0, n - slow)])
             }
             Heterogeneity::RackDecay { factor } => {
                 check(factor);
-                (1..=n)
-                    .map(|w| check(factor.powi(cluster.rack_of(w) as i32)))
-                    .collect()
+                // A flat cluster is one rack holding every worker.
+                let per_rack = cluster.rack.map_or(n.max(1), |r| r.nodes_per_rack);
+                merged_runs((0..n.div_ceil(per_rack)).map(|rack| {
+                    let factor = check(factor.powi(rack as i32));
+                    (factor, per_rack.min(n - rack * per_rack))
+                }))
             }
         }
     }
+
+    /// Per-worker speed multipliers for `n` workers of `cluster`
+    /// (`result[w]` multiplies worker `w+1`'s compute rate): the expansion
+    /// of [`Self::speed_runs`], for the simulator's per-node rates.
+    ///
+    /// # Panics
+    /// Panics when a speed factor is not positive and finite.
+    pub fn speed_factors(&self, cluster: &ClusterSpec, n: usize) -> Vec<f64> {
+        self.speed_runs(cluster, n)
+            .into_iter()
+            .flat_map(|(factor, count)| std::iter::repeat_n(factor, count))
+            .collect()
+    }
+}
+
+/// Collects `(value, count)` runs, dropping empty runs and merging equal
+/// neighbours (by `==`, keeping the first value), so that a run list is
+/// one run exactly when every element it stands for is equal.
+pub(crate) fn merged_runs(runs: impl IntoIterator<Item = (f64, usize)>) -> Vec<(f64, usize)> {
+    let mut merged: Vec<(f64, usize)> = Vec::new();
+    for (value, count) in runs {
+        if count == 0 {
+            continue;
+        }
+        match merged.last_mut() {
+            Some((last, total)) if *last == value => *total += count,
+            _ => merged.push((value, count)),
+        }
+    }
+    merged
 }
 
 /// Hardware presets used in the paper's evaluation (Section V).
@@ -411,6 +447,10 @@ mod tests {
         let c = spark_cluster();
         assert!(Heterogeneity::Uniform.is_uniform());
         assert_eq!(Heterogeneity::Uniform.speed_factors(&c, 4), vec![1.0; 4]);
+        assert_eq!(Heterogeneity::Uniform.speed_runs(&c, 4), vec![(1.0, 4)]);
+        for n in [0, 1, 4, 1_000] {
+            assert_runs_expand(Heterogeneity::Uniform, &c, n);
+        }
     }
 
     #[test]
@@ -435,6 +475,11 @@ mod tests {
             factor: 1.0
         }
         .is_uniform());
+        for (count, factor) in [(2, 0.5), (0, 0.5), (3, 1.0), (4, 2.0), (9, 0.5)] {
+            for n in 0..=6 {
+                assert_runs_expand(Heterogeneity::SlowWorkers { count, factor }, &c, n);
+            }
+        }
     }
 
     #[test]
@@ -448,6 +493,19 @@ mod tests {
         assert!((f[32] - 0.64).abs() < 1e-12, "worker 33 in rack 2");
         // Flat cluster: everyone in rack 0, still homogeneous.
         assert_eq!(h.speed_factors(&spark_cluster(), 8), vec![1.0; 8]);
+        // One run per occupied rack, each the per-worker rack_of factor.
+        for cluster in [c, spark_cluster()] {
+            for factor in [0.8, 1.0] {
+                let h = Heterogeneity::RackDecay { factor };
+                for n in 0..=40 {
+                    assert_runs_expand(h, &cluster, n);
+                    let per_worker: Vec<f64> = (1..=n)
+                        .map(|w| factor.powi(cluster.rack_of(w) as i32))
+                        .collect();
+                    assert_eq!(h.speed_factors(&cluster, n), per_worker, "n = {n}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -457,6 +515,27 @@ mod tests {
             count: 1,
             factor: 0.0,
         };
+        let runs = std::panic::catch_unwind(|| h.speed_runs(&spark_cluster(), 2));
+        assert!(runs.is_err(), "speed_runs must reject the factor too");
         let _ = h.speed_factors(&spark_cluster(), 2);
+    }
+
+    /// `speed_factors` equals the expansion of `speed_runs`, and the runs
+    /// hold no zero count and no two equal neighbours.
+    fn assert_runs_expand(h: Heterogeneity, cluster: &ClusterSpec, n: usize) {
+        let runs = h.speed_runs(cluster, n);
+        assert!(
+            runs.iter().all(|&(_, count)| count > 0),
+            "{h:?} n={n}: {runs:?}"
+        );
+        assert!(
+            runs.windows(2).all(|w| w[0].0 != w[1].0),
+            "{h:?} n={n}: {runs:?}"
+        );
+        let expanded: Vec<f64> = runs
+            .iter()
+            .flat_map(|&(factor, count)| vec![factor; count])
+            .collect();
+        assert_eq!(h.speed_factors(cluster, n), expanded, "{h:?} n={n}");
     }
 }

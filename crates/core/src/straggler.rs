@@ -31,7 +31,11 @@
 //! * [`StragglerModel::expected_barrier`] — the expected barrier time
 //!   `E[(n−k)-th order statistic of {b_i + X_i}]` over per-worker base
 //!   times `b_i` with the *drop-slowest-k* (backup worker / speculative
-//!   execution) mitigation;
+//!   execution) mitigation. The models hand it the bases as
+//!   `(base, count)` runs of equal neighbours in worker order, built from
+//!   [`Heterogeneity::speed_runs`]: a uniform cluster is one run, priced
+//!   as `base + E[(n−k)-th of n]` from the memo at O(1) cost in `n`, and
+//!   a heterogeneous one pays one delay CDF per run per quadrature step;
 //! * [`StragglerGdModel`] / [`StragglerGraphModel`] — composition with the
 //!   paper's two algorithm models, yielding *expected* iteration times,
 //!   speedup curves, and [`Planner`]s that optimise expected time/cost.
@@ -40,7 +44,7 @@
 //! degenerates **bit-identically** to the deterministic model, so the
 //! paper's Fig 1/Fig 2 optima (14/9) are reproduced exactly.
 
-use crate::hardware::Heterogeneity;
+use crate::hardware::{merged_runs, Heterogeneity};
 use crate::models::gd::GradientDescentModel;
 use crate::models::graphinf::GraphInferenceModel;
 use crate::par;
@@ -801,11 +805,13 @@ impl StragglerModel {
     /// `E[max]`; with zero jitter it is *exactly* the `(n−k)`-th smallest
     /// base (bit-identical to the deterministic model).
     ///
-    /// Homogeneous bases route through the exact/1-D forms of
-    /// [`Self::expected_order_stat`]; heterogeneous bases integrate the
+    /// The bases collapse into `(base, count)` runs of equal neighbours.
+    /// One run (all bases equal) routes through the exact/1-D forms of
+    /// [`Self::expected_order_stat`]; several runs integrate the
     /// Poisson-binomial order-statistic survival function on a log-spaced
-    /// grid (deterministic quadrature, no sampling). This is
-    /// [`OrderStatCache::expected_barrier`] over a fresh cache.
+    /// grid (deterministic quadrature, no sampling), one delay CDF per run
+    /// per step. This is [`OrderStatCache::expected_barrier`] over a fresh
+    /// cache.
     ///
     /// # Panics
     /// Panics when `bases` is empty or `drop_k >= bases.len()`.
@@ -819,13 +825,16 @@ impl StragglerModel {
     /// Poisson-binomial recursion capped at `k` failures. The grid is
     /// log-spaced so heavy log-normal tails are resolved as finely as the
     /// bulk.
-    fn expected_barrier_hetero(&self, bases: &[f64], k: usize) -> f64 {
-        let n = bases.len();
+    ///
+    /// `runs` are the `n` bases as `(base, count)` runs in worker order.
+    /// Each step calls the delay CDF once per run and applies the
+    /// recursion's update `count` times, in worker order, so the result is
+    /// bit-identical to a per-worker loop over the expanded bases.
+    fn expected_barrier_hetero(&self, runs: &[(f64, usize)], n: usize, k: usize) -> f64 {
         let m = n - k;
-        let mut sorted = bases.to_vec();
-        sorted.sort_by(f64::total_cmp);
-        let b_m = sorted[m - 1]; // below this, P(Y_(m) ≤ x) = 0 exactly
-        let b_max = sorted[n - 1];
+        let sorted = sorted_runs(runs);
+        let b_m = nth_smallest(&sorted, m - 1); // below this, P(Y_(m) ≤ x) = 0 exactly
+        let b_max = nth_smallest(&sorted, n - 1);
         let x_lo = if b_m > 0.0 { b_m } else { self.low_bound() };
         let x_hi = b_max + self.tail_bound(n);
         if x_hi <= x_lo {
@@ -835,12 +844,14 @@ impl StragglerModel {
         let survival = |x: f64| {
             let mut q = vec![0.0f64; k + 2]; // q[k+1] absorbs ≥ k+1 failures
             q[0] = 1.0;
-            for &b in bases {
+            for &(b, count) in runs {
                 let p = self.delay_cdf(x - b);
                 let s = 1.0 - p;
-                for f in (0..=k).rev() {
-                    q[f + 1] += q[f] * s;
-                    q[f] *= p;
+                for _ in 0..count {
+                    for f in (0..=k).rev() {
+                        q[f + 1] += q[f] * s;
+                        q[f] *= p;
+                    }
                 }
             }
             let reached: f64 = q[..=k].iter().sum();
@@ -862,6 +873,25 @@ impl StragglerModel {
     }
 }
 
+/// `(base, count)` runs sorted by base.
+fn sorted_runs(runs: &[(f64, usize)]) -> Vec<(f64, usize)> {
+    let mut sorted = runs.to_vec();
+    sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
+    sorted
+}
+
+/// The `rank`-th smallest (0-based) of the bases that `sorted`, runs
+/// sorted by base, stand for.
+fn nth_smallest(sorted: &[(f64, usize)], rank: usize) -> f64 {
+    let mut i = 0;
+    let mut through = sorted[0].1;
+    while through <= rank {
+        i += 1;
+        through += sorted[i].1;
+    }
+    sorted[i].0
+}
+
 /// Clamp the drop-count to leave at least one worker standing.
 fn effective_k(backup_k: usize, n: usize) -> usize {
     backup_k.min(n.saturating_sub(1))
@@ -874,53 +904,72 @@ fn effective_k(backup_k: usize, n: usize) -> usize {
 /// read from `cache`. A key outside `ns` (a planner probing between
 /// ladder rungs) is computed on first read and memoised.
 ///
+/// `bases(n)` gives the `n` workers' base times as merged `(base, count)`
+/// runs in worker order, so a uniform cluster costs one run per `n`, not
+/// an `n`-element vector.
+///
 /// The fill is skipped where the barrier reads no order statistic: at
 /// zero jitter (the exact sorted-base path) and on heterogeneous bases
-/// (the Poisson-binomial quadrature). Homogeneity is probed at the widest
-/// `n`: every `Heterogeneity` variant yields prefix-structured speed
-/// factors, so all-equal widest bases imply all-equal narrower ones, and
-/// a wrong probe only costs memo misses, never a changed result.
+/// (the Poisson-binomial quadrature). Homogeneity is probed as one run at
+/// the widest `n`: every `Heterogeneity` variant yields prefix-structured
+/// speed factors, so one run at the widest `n` implies one run at every
+/// narrower one, and a wrong probe only costs memo misses, never a
+/// changed result.
+///
+/// The returned flag says whether a sweep over `ns` should fan out across
+/// threads: only where each `n` runs the heterogeneous quadrature. After
+/// the fill, a uniform cluster's `n` costs one memo read, and a zero-jitter
+/// one a walk over its runs; per-call worker threads, and their contention
+/// on the memo's lock, would cost more than that work and make its timing
+/// depend on the scheduler.
 fn cached_time<'a>(
     cache: &'a OrderStatCache,
     straggler: StragglerModel,
     backup_k: usize,
     ns: &[usize],
-    bases: impl Fn(usize) -> Vec<f64> + Sync + 'a,
+    bases: impl Fn(usize) -> Vec<(f64, usize)> + Sync + 'a,
     finish: impl Fn(usize, Seconds) -> Seconds + Sync + 'a,
-) -> impl Fn(usize) -> Seconds + Sync + 'a {
+) -> (impl Fn(usize) -> Seconds + Sync + 'a, bool) {
     assert_eq!(
         cache.model(),
         straggler,
         "OrderStatCache was built for a different straggler model"
     );
+    let mut fan_out = false;
     if let (false, Some(&n_max)) = (straggler.is_zero(), ns.iter().max()) {
-        let probe = bases(n_max);
-        if probe.iter().all(|&b| b == probe[0]) {
+        if bases(n_max).len() == 1 {
             cache.fill(ns, backup_k);
+        } else {
+            fan_out = true;
         }
     }
-    move |n| {
+    let time = move |n| {
         assert!(n >= 1);
-        let barrier = cache.expected_barrier(&bases(n), effective_k(backup_k, n));
+        let barrier = cache.barrier(&bases(n), effective_k(backup_k, n));
         finish(n, barrier)
-    }
+    };
+    (time, fan_out)
 }
 
 /// A speedup curve over `ns` through [`cached_time`], the per-`n`
-/// evaluations fanned out across threads ([`crate::par`]) — bit-identical
-/// to a serial per-`n` loop.
+/// evaluations fanned out across threads ([`crate::par`]) where each one
+/// runs a quadrature — bit-identical to a serial per-`n` loop.
 fn cached_curve(
     ns: impl IntoIterator<Item = usize>,
     cache: &OrderStatCache,
     straggler: StragglerModel,
     backup_k: usize,
-    bases: impl Fn(usize) -> Vec<f64> + Sync,
+    bases: impl Fn(usize) -> Vec<(f64, usize)> + Sync,
     finish: impl Fn(usize, Seconds) -> Seconds + Sync,
 ) -> SpeedupCurve {
     let ns: Vec<usize> = ns.into_iter().collect();
     assert!(!ns.is_empty(), "need at least one worker count");
-    let time = cached_time(cache, straggler, backup_k, &ns, bases, finish);
-    let times = par::map(&ns, |&n| time(n));
+    let (time, fan_out) = cached_time(cache, straggler, backup_k, &ns, bases, finish);
+    let times = if fan_out {
+        par::map(&ns, |&n| time(n))
+    } else {
+        ns.iter().map(|&n| time(n)).collect()
+    };
     SpeedupCurve::from_samples(ns.into_iter().zip(times))
 }
 
@@ -1010,31 +1059,43 @@ impl OrderStatCache {
     }
 
     /// [`StragglerModel::expected_barrier`] with the homogeneous
-    /// order-statistic term served from the memo.
+    /// order-statistic term served from the memo: the bases collapse into
+    /// `(base, count)` runs of equal neighbours, then [`Self::barrier`].
     pub fn expected_barrier(&self, bases: &[f64], drop_k: usize) -> Seconds {
+        self.barrier(&merged_runs(bases.iter().map(|&b| (b, 1))), drop_k)
+    }
+
+    /// The expected barrier over the bases of `n = Σ count` workers, given
+    /// as `(base, count)` runs in worker order with equal neighbours merged
+    /// ([`merged_runs`]):
+    ///
+    /// * zero jitter: the maximum base, or with `drop_k > 0` the
+    ///   `(n−k)`-th smallest (rank `n−1−k` from zero), found by walking the
+    ///   sorted runs — no quadrature, so the homogeneous case stays
+    ///   bit-identical to the deterministic model;
+    /// * one run: `base + E[(n−k)-th of n]`, the order statistic read from
+    ///   the memo — O(1) in `n`;
+    /// * otherwise the Poisson-binomial quadrature, one delay CDF per run
+    ///   per step.
+    fn barrier(&self, runs: &[(f64, usize)], drop_k: usize) -> Seconds {
         let model = self.model;
         model.assert_valid();
-        let n = bases.len();
+        let n: usize = runs.iter().map(|&(_, count)| count).sum();
         assert!(n >= 1, "need at least one worker");
         assert!(
             drop_k < n,
             "cannot drop all {n} workers (backup_k = {drop_k})"
         );
         if model.is_zero() {
-            // Zero jitter: the barrier is the (n−k)-th smallest base,
-            // computed without quadrature so the homogeneous case stays
-            // bit-identical to the deterministic model.
             if drop_k == 0 {
-                return Seconds::new(bases.iter().copied().fold(f64::MIN, f64::max));
+                return Seconds::new(runs.iter().map(|&(b, _)| b).fold(f64::MIN, f64::max));
             }
-            let mut sorted = bases.to_vec();
-            sorted.sort_by(f64::total_cmp);
-            return Seconds::new(sorted[n - 1 - drop_k]);
+            return Seconds::new(nth_smallest(&sorted_runs(runs), n - 1 - drop_k));
         }
-        if bases.iter().all(|&b| b == bases[0]) {
-            return Seconds::new(bases[0] + self.expected_order_stat(n, drop_k));
+        if let [(base, _)] = *runs {
+            return Seconds::new(base + self.expected_order_stat(n, drop_k));
         }
-        Seconds::new(model.expected_barrier_hetero(bases, drop_k))
+        Seconds::new(model.expected_barrier_hetero(runs, n, drop_k))
     }
 }
 
@@ -1116,41 +1177,48 @@ impl StragglerGdModel {
         }
     }
 
-    /// Per-worker compute-phase base times for an even strong-scaling
-    /// split of the batch across `n` workers.
-    fn strong_bases(&self, n: usize) -> Vec<f64> {
+    /// Compute-phase base times for an even strong-scaling split of the
+    /// batch across `n` workers, as `(base, count)` runs in worker order.
+    fn strong_bases(&self, n: usize) -> Vec<(f64, usize)> {
         let even = self.inner.strong_comp_time(n).as_secs();
-        self.hetero
-            .speed_factors(&self.inner.cluster, n)
-            .into_iter()
-            .map(|s| even / s)
-            .collect()
+        self.bases_at_speed(even, n)
     }
 
-    /// Per-worker compute-phase base times for weak scaling (every worker
-    /// keeps a full per-worker batch).
-    fn weak_bases(&self, n: usize) -> Vec<f64> {
+    /// Compute-phase base times for weak scaling (every worker keeps a
+    /// full per-worker batch), as `(base, count)` runs in worker order.
+    fn weak_bases(&self, n: usize) -> Vec<(f64, usize)> {
         let per_worker = (self.inner.cost_per_example * self.inner.batch_size
             / self.inner.cluster.flops())
         .as_secs();
-        self.hetero
-            .speed_factors(&self.inner.cluster, n)
-            .into_iter()
-            .map(|s| per_worker / s)
-            .collect()
+        self.bases_at_speed(per_worker, n)
+    }
+
+    /// `nominal / s` over the speed runs of `n` workers. Equal neighbours
+    /// are merged after the division, since distinct speeds can still
+    /// give equal quotients.
+    fn bases_at_speed(&self, nominal: f64, n: usize) -> Vec<(f64, usize)> {
+        let speeds = self.hetero.speed_runs(&self.inner.cluster, n);
+        merged_runs(speeds.into_iter().map(|(s, count)| (nominal / s, count)))
     }
 
     /// Expected compute-phase barrier time at `n` workers (strong
     /// scaling): `E[(n−k)-th order stat of {t_cp/s_i + X_i}]`.
     pub fn expected_strong_comp_time(&self, n: usize) -> Seconds {
         assert!(n >= 1);
-        self.straggler
-            .expected_barrier(&self.strong_bases(n), effective_k(self.backup_k, n))
+        OrderStatCache::new(self.straggler)
+            .barrier(&self.strong_bases(n), effective_k(self.backup_k, n))
     }
 
     /// Expected strong-scaling iteration time
     /// `E[barrier] + t_cm(n)` — communication is unchanged by compute
     /// stragglers (the collective starts at the barrier).
+    ///
+    /// The simulator twin, `mlscale_sim::bsp::simulate_with_stragglers`,
+    /// places the delay differently: it starts each worker's part of the
+    /// exchange at that worker's own finish time, so slow workers overlap
+    /// the communication. With an exchange, a simulated iteration can
+    /// therefore come in under this expectation by up to the straggler
+    /// term; compute-only, nothing overlaps and the two agree.
     pub fn expected_strong_iteration_time(&self, n: usize) -> Seconds {
         self.expected_strong_comp_time(n) + self.inner.comm_time(n)
     }
@@ -1158,9 +1226,8 @@ impl StragglerGdModel {
     /// Expected weak-scaling iteration time.
     pub fn expected_weak_iteration_time(&self, n: usize) -> Seconds {
         assert!(n >= 1);
-        let barrier = self
-            .straggler
-            .expected_barrier(&self.weak_bases(n), effective_k(self.backup_k, n));
+        let barrier = OrderStatCache::new(self.straggler)
+            .barrier(&self.weak_bases(n), effective_k(self.backup_k, n));
         barrier + self.inner.comm_time(n)
     }
 
@@ -1171,8 +1238,9 @@ impl StragglerGdModel {
 
     /// Expected strong-scaling speedup curve over `ns`: one order-statistic
     /// batch for the whole sweep, the per-`n` evaluations fanned out
-    /// across threads ([`crate::par`]), bit-identical to the serial
-    /// per-`n` path. [`Self::strong_curve_cached`] over a fresh cache.
+    /// across threads ([`crate::par`]) where each runs the heterogeneous
+    /// quadrature, bit-identical to the serial per-`n` path.
+    /// [`Self::strong_curve_cached`] over a fresh cache.
     pub fn strong_curve(&self, ns: impl IntoIterator<Item = usize>) -> SpeedupCurve {
         self.strong_curve_cached(ns, &OrderStatCache::new(self.straggler))
     }
@@ -1217,7 +1285,9 @@ impl StragglerGdModel {
     /// statistic the curve already has. `None` past [`DENSE_EVAL_MAX_N`]
     /// takes a [`Planner::DEFAULT_LOG_POINTS`] ladder, as a dense
     /// `1..=max_n` sweep would cost O(max_n) model calls to answer four
-    /// questions.
+    /// questions. The candidates fan out across threads only where each
+    /// runs the heterogeneous quadrature; a memo read or a zero-jitter
+    /// barrier is evaluated on the calling thread.
     ///
     /// # Panics
     /// Panics when the cache was built for a different delay model.
@@ -1235,7 +1305,7 @@ impl StragglerGdModel {
             Some(points) => log_spaced_ns(max_n, points),
             None => (1..=max_n).collect(),
         };
-        let time = cached_time(
+        let (time, fan_out) = cached_time(
             cache,
             self.straggler,
             self.backup_k,
@@ -1243,9 +1313,14 @@ impl StragglerGdModel {
             |n| self.strong_bases(n),
             |n, barrier| (barrier + self.inner.comm_time(n)) * iterations,
         );
-        match log_points {
+        let build = || match log_points {
             Some(points) => Planner::new_log(time, max_n, pricing, points),
             None => Planner::new_par(time, max_n, pricing),
+        };
+        if fan_out {
+            build()
+        } else {
+            par::with_thread_count(1, build)
         }
     }
 
@@ -1329,9 +1404,9 @@ impl StragglerGraphModel {
         }
     }
 
-    /// Per-worker base times: one worker holds the maximum edge load, the
-    /// rest the balanced share.
-    fn bases(&self, n: usize) -> Vec<f64> {
+    /// Base times as `(base, count)` runs in worker order: one worker
+    /// holds the maximum edge load, the rest the balanced share.
+    fn bases(&self, n: usize) -> Vec<(f64, usize)> {
         // GraphInferenceModel carries no ClusterSpec (and therefore no rack
         // topology); a per-rack heterogeneity would silently degenerate to
         // uniform speeds here, so reject it loudly instead.
@@ -1346,24 +1421,24 @@ impl StragglerGraphModel {
             .as_secs()
             .min(gating);
         // SlowWorkers factors are defined per worker index; the hub
-        // partition is placed on worker 1 (index 0).
+        // partition is placed on worker 1, split off the first speed run.
         let cluster = crate::hardware::ClusterSpec::new(
             crate::hardware::NodeSpec::new(self.inner.flops, 1.0),
             crate::hardware::LinkSpec::bandwidth_only(self.inner.bandwidth),
         );
-        self.hetero
-            .speed_factors(&cluster, n)
-            .into_iter()
-            .enumerate()
-            .map(|(w, s)| if w == 0 { gating / s } else { balanced / s })
-            .collect()
+        let speeds = self.hetero.speed_runs(&cluster, n);
+        let (s_hub, count) = speeds[0];
+        merged_runs(
+            [(gating / s_hub, 1), (balanced / s_hub, count - 1)]
+                .into_iter()
+                .chain(speeds[1..].iter().map(|&(s, count)| (balanced / s, count))),
+        )
     }
 
     /// Expected compute-phase barrier at `n` workers.
     pub fn expected_comp_time(&self, n: usize) -> Seconds {
         assert!(n >= 1);
-        self.straggler
-            .expected_barrier(&self.bases(n), effective_k(self.backup_k, n))
+        OrderStatCache::new(self.straggler).barrier(&self.bases(n), effective_k(self.backup_k, n))
     }
 
     /// Expected iteration time `E[barrier] + t_cm(n)`.
@@ -1373,8 +1448,8 @@ impl StragglerGraphModel {
 
     /// Expected speedup curve over `ns` — one order-statistic batch for
     /// the sweep (when the base profile is homogeneous enough to read
-    /// it), per-`n` evaluation fanned out across threads, bit-identical
-    /// to the serial per-`n` path.
+    /// it), per-`n` evaluation fanned out across threads where it runs a
+    /// quadrature, bit-identical to the serial per-`n` path.
     pub fn curve(&self, ns: impl IntoIterator<Item = usize>) -> SpeedupCurve {
         cached_curve(
             ns,
@@ -1532,11 +1607,209 @@ mod tests {
                         continue;
                     }
                     let iid = model.expected_barrier(&vec![1.0; n], k).as_secs();
-                    let hetero = model.expected_barrier_hetero(&vec![1.0; n], k);
+                    let hetero = model.expected_barrier_hetero(&[(1.0, n)], n, k);
                     assert!(
                         (iid - hetero).abs() / iid < 5e-3,
                         "{model:?} n={n} k={k}: iid {iid} vs hetero {hetero}"
                     );
+                }
+            }
+        }
+    }
+
+    /// The barrier as this module computed it before bases became runs:
+    /// an all-equal scan, a sort at zero jitter, and a Poisson-binomial
+    /// quadrature with one delay CDF per worker per step. The reference
+    /// that the runs must match bit for bit.
+    fn per_worker_barrier(model: StragglerModel, bases: &[f64], k: usize) -> f64 {
+        let n = bases.len();
+        let mut sorted = bases.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        if model.is_zero() {
+            if k == 0 {
+                return bases.iter().copied().fold(f64::MIN, f64::max);
+            }
+            return sorted[n - 1 - k];
+        }
+        if bases.iter().all(|&b| b == bases[0]) {
+            return bases[0] + model.expected_order_stat(n, k);
+        }
+        let b_m = sorted[n - k - 1];
+        let x_lo = if b_m > 0.0 { b_m } else { model.low_bound() };
+        let x_hi = sorted[n - 1] + model.tail_bound(n);
+        if x_hi <= x_lo {
+            return b_m;
+        }
+        let survival = |x: f64| {
+            let mut q = vec![0.0f64; k + 2];
+            q[0] = 1.0;
+            for &b in bases {
+                let p = model.delay_cdf(x - b);
+                let s = 1.0 - p;
+                for f in (0..=k).rev() {
+                    q[f + 1] += q[f] * s;
+                    q[f] *= p;
+                }
+            }
+            let reached: f64 = q[..=k].iter().sum();
+            1.0 - reached
+        };
+        let (u_lo, u_hi) = (x_lo.ln(), x_hi.ln());
+        let steps = 4096usize;
+        let h = (u_hi - u_lo) / steps as f64;
+        let g = |u: f64| {
+            let x = u.exp();
+            survival(x) * x
+        };
+        let mut sum = 0.5 * (g(u_lo) + g(u_hi));
+        for i in 1..steps {
+            sum += g(u_lo + i as f64 * h);
+        }
+        x_lo + sum * h
+    }
+
+    /// Asserts that a barrier computed over runs equals the per-worker
+    /// reference over `bases` bit for bit, and that the public slice form
+    /// does too.
+    fn assert_matches_per_worker(
+        what: &str,
+        straggler: StragglerModel,
+        runs_barrier: Seconds,
+        bases: &[f64],
+        k: usize,
+    ) {
+        let reference = per_worker_barrier(straggler, bases, k);
+        assert_eq!(
+            runs_barrier.as_secs().to_bits(),
+            reference.to_bits(),
+            "{what} {straggler:?} n={} k={k}: runs {} vs per-worker {reference}",
+            bases.len(),
+            runs_barrier.as_secs()
+        );
+        assert_eq!(
+            straggler.expected_barrier(bases, k).as_secs().to_bits(),
+            reference.to_bits(),
+            "{what} {straggler:?} n={} k={k}: slice form",
+            bases.len()
+        );
+    }
+
+    #[test]
+    fn run_barriers_match_the_per_worker_loop_bit_for_bit() {
+        use crate::hardware::{LinkSpec, RackSpec};
+        use crate::models::graphinf::EdgeLoad;
+        use crate::units::{BitsPerSec, FlopsRate};
+        let tails = [
+            StragglerModel::Deterministic,
+            StragglerModel::BoundedJitter { spread: 0.4 },
+            StragglerModel::ExponentialTail { mean: 0.15 },
+            StragglerModel::LogNormalTail {
+                mu: -2.0,
+                sigma: 0.8,
+            },
+        ];
+        let racked = GradientDescentModel {
+            cluster: presets::spark_cluster().with_racks(RackSpec::new(
+                8,
+                LinkSpec::bandwidth_only(BitsPerSec::giga(1.0)),
+            )),
+            ..fig2_model()
+        };
+        // A hub partition 1.7× the balanced share, so gating ≠ balanced.
+        let edges = 50_000.0;
+        let loads = (1..=40)
+            .map(|n| {
+                if n == 1 {
+                    edges
+                } else {
+                    1.7 * edges / n as f64
+                }
+            })
+            .collect();
+        let graph = GraphInferenceModel::belief_propagation(
+            10_000.0,
+            edges,
+            2,
+            FlopsRate::giga(7.6),
+            BitsPerSec::giga(1.0),
+            0.5,
+            EdgeLoad::PerWorkerMax(loads),
+        );
+        for straggler in tails {
+            for backup_k in [0usize, 1, 3] {
+                let gd = |inner, hetero| StragglerGdModel {
+                    inner,
+                    straggler,
+                    hetero,
+                    backup_k,
+                };
+                let strong = |m: &StragglerGdModel, n: usize| -> Vec<f64> {
+                    let even = m.inner.strong_comp_time(n).as_secs();
+                    let speeds = m.hetero.speed_factors(&m.inner.cluster, n);
+                    speeds.into_iter().map(|s| even / s).collect()
+                };
+                for n in [1usize, 6, 13] {
+                    let k = effective_k(backup_k, n);
+                    for count in [0, 3, n, n + 5] {
+                        let slow = Heterogeneity::SlowWorkers { count, factor: 0.5 };
+                        let m = gd(fig2_model(), slow);
+                        let what = format!("slow count={count}");
+                        let bases = strong(&m, n);
+                        let t = m.expected_strong_comp_time(n);
+                        assert_matches_per_worker(&what, straggler, t, &bases, k);
+                        let per_worker = (m.inner.cost_per_example * m.inner.batch_size
+                            / m.inner.cluster.flops())
+                        .as_secs();
+                        let weak: Vec<f64> = m
+                            .hetero
+                            .speed_factors(&m.inner.cluster, n)
+                            .into_iter()
+                            .map(|s| per_worker / s)
+                            .collect();
+                        let reference = Seconds::new(per_worker_barrier(straggler, &weak, k))
+                            + m.inner.comm_time(n);
+                        assert_eq!(
+                            m.expected_weak_iteration_time(n).as_secs().to_bits(),
+                            reference.as_secs().to_bits(),
+                            "{what} weak n={n} k={k}"
+                        );
+
+                        let g = StragglerGraphModel {
+                            inner: graph.clone(),
+                            straggler,
+                            hetero: slow,
+                            backup_k,
+                        };
+                        let gating = graph.comp_time(n).as_secs();
+                        let balanced = (graph.cost_per_edge * (graph.edges / n as f64)
+                            / graph.flops)
+                            .as_secs()
+                            .min(gating);
+                        let bases: Vec<f64> = (0..n)
+                            .map(|w| {
+                                let s = if w < count { 0.5 } else { 1.0 };
+                                if w == 0 {
+                                    gating / s
+                                } else {
+                                    balanced / s
+                                }
+                            })
+                            .collect();
+                        let t = g.expected_comp_time(n);
+                        assert_matches_per_worker(
+                            &format!("graph {what}"),
+                            straggler,
+                            t,
+                            &bases,
+                            k,
+                        );
+                    }
+                }
+                for n in [1usize, 5, 16, 37] {
+                    let k = effective_k(backup_k, n);
+                    let m = gd(racked, Heterogeneity::RackDecay { factor: 0.8 });
+                    let t = m.expected_strong_comp_time(n);
+                    assert_matches_per_worker("rack", straggler, t, &strong(&m, n), k);
                 }
             }
         }

@@ -196,6 +196,16 @@ pub fn simulate_with_speeds(
 /// [`simulate_with_speeds`] under the same seed: the deterministic model
 /// consumes no randomness.
 ///
+/// The gradient exchange and the ring, halving-doubling and hierarchical
+/// all-reduces start each worker's part at that worker's own finish time,
+/// not at the barrier, so a slow worker's delay overlaps the others'
+/// communication. The analytic
+/// `StragglerGdModel::expected_strong_iteration_time` adds the whole
+/// `t_cm(n)` after the expected barrier instead, so with an exchange the
+/// simulation can come in under the model by up to the straggler term.
+/// Compute-only programs, and the shared medium, which is charged from
+/// the barrier, have no such gap.
+///
 /// # Panics
 /// Panics when the factor list does not cover every worker.
 pub fn simulate_with_stragglers(
