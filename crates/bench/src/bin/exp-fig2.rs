@@ -2,7 +2,7 @@
 //! the fully-connected MNIST network on the (simulated) Spark cluster,
 //! model vs experiment.
 //!
-//! Usage: exp-fig2 [MAX_N]   (default 16)
+//! Usage: `exp-fig2 [MAX_N]`   (default 16)
 
 #![forbid(unsafe_code)]
 

@@ -3,7 +3,7 @@
 //! drop-slowest-k mitigation, cross-validated against the discrete-event
 //! straggler simulator.
 //!
-//! Usage: ext-stragglers [MAX_N]   (default 16)
+//! Usage: `ext-stragglers [MAX_N]`   (default 16)
 
 #![forbid(unsafe_code)]
 

@@ -33,717 +33,202 @@
 //! even though ring moves the least data), which is exactly where the flat
 //! bandwidth models mispredict the optimal cluster size.
 //!
-//! Every model reports its serialised message-round count via
-//! [`CommModel::rounds`]; wrap any pure-bandwidth model in [`AlphaBeta`] to
-//! add `rounds(n)·α`. [`Hierarchical`] is inherently latency-aware (its
-//! two link tiers carry their own `α`s). Composites are built with
-//! [`Composite`] / [`Scaled`].
+//! [`GdComm`] names the collective and holds every formula:
+//! [`GdComm::time`] prices one exchange on a [`ClusterSpec`] and
+//! [`GdComm::rounds`] counts its serialised message rounds. On a link with
+//! zero latency `time` is exactly the paper's pure-bandwidth formula.
+//! [`GdComm::Hierarchical`] is inherently latency-aware: its two link
+//! tiers carry their own `α`s.
 
-use crate::hardware::{ClusterSpec, LinkSpec};
-use crate::units::{Bits, BitsPerSec, Seconds};
+use crate::hardware::ClusterSpec;
+use crate::units::{Bits, Seconds};
 use serde::{Deserialize, Serialize};
 
-/// A communication time-complexity model: time to move a message volume
-/// among `n` workers.
-pub trait CommModel: std::fmt::Debug + Send + Sync {
-    /// Time for the collective to complete with `n` workers.
+/// Which communication architecture moves the gradients/parameters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum GdComm {
+    /// The paper's generic model (Section IV-A): broadcast + aggregation
+    /// each organised as a binary tree, `t_cm = 2·(bits·W/B)·log₂ n` in
+    /// `2·log₂ n` rounds.
+    TwoStageTree,
+    /// Spark's actual mechanism (Fig 2): torrent broadcast (`log₂ n`
+    /// rounds) plus two-wave `treeAggregate` — "first wave is done for the
+    /// square root number of the nodes and the second wave is done among
+    /// the others" (`2·⌈√n⌉` rounds):
+    /// `t_cm = (bits·W/B)·log₂ n + 2·(bits·W/B)·⌈√n⌉`.
+    Spark,
+    /// Flat master-centric exchange, `t_cm = 2·n·(bits·W/B)` in `2·n`
+    /// rounds (the master's NIC serialises one message per worker each
+    /// way) — the linear-communication baseline of Sparks et al. that the
+    /// paper contrasts against.
+    LinearFlat,
+    /// Bandwidth-optimal ring all-reduce, `t_cm = 2·(n−1)/n·(bits·W/B)`
+    /// in `2·(n−1)` chunk steps: the MPI-style alternative the paper
+    /// alludes to, bandwidth-optimal but latency-hostile.
+    Ring,
+    /// Recursive halving/doubling all-reduce (Rabenseifner's algorithm):
+    /// for `p = 2^⌊log₂ n⌋` participants, `2·(p−1)/p·(bits·W/B)` in
+    /// `2·log₂ p` rounds — ring's bandwidth term at a tree's round count.
+    /// The `n − p` extra workers fold their vectors into partners before
+    /// the exchange and receive the result after it: two more rounds of
+    /// the full payload. The model is therefore (intentionally) *not*
+    /// monotone in `n`: `t(5) > t(8)`, as the real algorithm behaves.
+    HalvingDoubling,
+    /// Two-tier rack-aware collective over the cluster's
+    /// [`crate::hardware::RackSpec`] topology: binomial-tree reduce to
+    /// each rack's leader over the intra-rack link, ring all-reduce among
+    /// the `r` rack leaders over the uplink, binomial-tree broadcast back:
     ///
-    /// `n == 1` must return zero for any model: a single worker has nobody
-    /// to talk to (the paper's `t(1)` contains no communication term).
-    fn time(&self, n: usize) -> Seconds;
+    /// ```text
+    /// t(n) = 2·⌈log₂ m⌉·(α_i + M/B_i)  +  2·(r−1)·(α_u + (M/r)/B_u)
+    /// ```
+    ///
+    /// with `m` the fullest rack's worker count. The expensive uplink
+    /// carries only `r − 1 ≪ n` hops of `M/r` chunks, so the cross-rack
+    /// wall moves out by roughly the rack size. On a flat cluster it
+    /// degenerates to a single-rack tree exchange.
+    Hierarchical,
+    /// No communication (upper bound / single-machine sanity checks).
+    None,
+}
+
+impl GdComm {
+    /// Time `t_cm(n)` of one exchange of `volume` bits among `n` workers
+    /// of `cluster`: the bandwidth term plus `α·rounds(n)` when the link
+    /// carries a latency. Zero at `n <= 1`: a single worker has nobody to
+    /// talk to (the paper's `t(1)` has no communication term).
+    ///
+    /// A flat collective on a racked cluster runs on the base link while
+    /// the job fits one rack; once it spans racks every round is charged
+    /// at the uplink tier. That is exact for the ring, whose pipeline is
+    /// gated by the slowest link on the cycle, and a conservative bound
+    /// for tree shapes, some of whose rounds stay on fast intra-rack links
+    /// — the gap [`GdComm::Hierarchical`] exploits.
+    pub fn time(self, volume: Bits, cluster: &ClusterSpec, n: usize) -> Seconds {
+        if n <= 1 {
+            return Seconds::zero();
+        }
+        let link = match cluster.rack {
+            Some(rack) if n > rack.nodes_per_rack => rack.uplink,
+            _ => cluster.link,
+        };
+        let unit = volume / link.bandwidth;
+        let nf = n as f64;
+        let bandwidth = match self {
+            Self::TwoStageTree => unit * (2.0 * nf.log2()),
+            Self::Spark => unit * nf.log2() + unit * (2.0 * wave_width(n)),
+            Self::LinearFlat => unit * nf * 2.0,
+            Self::Ring => unit * (2.0 * (nf - 1.0) / nf),
+            Self::HalvingDoubling => {
+                let (p, extra) = halving_split(n);
+                let exchange = unit * (2.0 * (p as f64 - 1.0) / p as f64);
+                let fold = if extra > 0 {
+                    unit * 2.0
+                } else {
+                    Seconds::zero()
+                };
+                exchange + fold
+            }
+            Self::Hierarchical => return hierarchical_time(volume, cluster, n),
+            Self::None => Seconds::zero(),
+        };
+        if link.latency.is_zero() {
+            bandwidth
+        } else {
+            bandwidth + link.latency * self.rounds(cluster, n)
+        }
+    }
 
     /// Number of serialised message rounds on the collective's critical
-    /// path with `n` workers — the multiplier of the per-message latency
-    /// `α` in the α–β form `t = rounds·α + volume_terms/B`.
-    ///
-    /// Defaults to zero (a pure-bandwidth model that ignores latency), so
-    /// existing implementations keep compiling; every shipped model
-    /// overrides it. Must return zero at `n <= 1`.
-    fn rounds(&self, n: usize) -> f64 {
-        let _ = n;
+    /// path with `n` workers of `cluster` — the multiplier of the
+    /// per-message latency `α`. Zero at `n <= 1`.
+    pub fn rounds(self, cluster: &ClusterSpec, n: usize) -> f64 {
+        if n <= 1 {
+            return 0.0;
+        }
+        let nf = n as f64;
+        match self {
+            Self::TwoStageTree => 2.0 * nf.log2(),
+            Self::Spark => nf.log2() + 2.0 * wave_width(n),
+            Self::LinearFlat => nf * 2.0,
+            Self::Ring => 2.0 * (nf - 1.0),
+            Self::HalvingDoubling => {
+                let (p, extra) = halving_split(n);
+                2.0 * f64::from(p.ilog2()) + if extra > 0 { 2.0 } else { 0.0 }
+            }
+            Self::Hierarchical => {
+                let (m, r) = rack_layout(cluster, n);
+                2.0 * intra_rounds(m) + 2.0 * (r as f64 - 1.0)
+            }
+            Self::None => 0.0,
+        }
+    }
+}
+
+/// `⌈√n⌉`, the fan-in of each `treeAggregate` wave.
+fn wave_width(n: usize) -> f64 {
+    (n as f64).sqrt().ceil()
+}
+
+/// `(p, extra)`: the power-of-two participant count of halving/doubling
+/// and the number of folded-in extra workers. `n <= 1` (nobody to
+/// exchange with) maps to one participant and no extras.
+fn halving_split(n: usize) -> (usize, usize) {
+    if n <= 1 {
+        return (1, 0);
+    }
+    let p = 1 << n.ilog2();
+    (p, n - p)
+}
+
+/// `(m, r)`: workers in the fullest rack and number of racks. A flat
+/// cluster is one rack holding every worker.
+fn rack_layout(cluster: &ClusterSpec, n: usize) -> (usize, usize) {
+    let rack_size = cluster.rack.map_or(usize::MAX, |rack| rack.nodes_per_rack);
+    (rack_size.min(n), n.div_ceil(rack_size).max(1))
+}
+
+/// Binomial-tree rounds to reduce (or broadcast among) `m` rack members
+/// including the leader: `⌈log₂ m⌉`.
+fn intra_rounds(m: usize) -> f64 {
+    if m <= 1 {
         0.0
-    }
-
-    /// Human-readable name used in reports.
-    fn name(&self) -> &'static str;
-}
-
-/// No communication at all (e.g. shared-memory experiments where the paper
-/// assumes `t_cm` is negligible).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct NoComm;
-
-impl CommModel for NoComm {
-    fn time(&self, _n: usize) -> Seconds {
-        Seconds::zero()
-    }
-
-    fn rounds(&self, _n: usize) -> f64 {
-        0.0
-    }
-
-    fn name(&self) -> &'static str {
-        "none"
+    } else {
+        (m as f64).log2().ceil()
     }
 }
 
-/// Linear (flat / sequential) collective: the master exchanges `volume`
-/// with each of the `n` workers one after another: `t = n · M/B`.
-///
-/// This is the communication architecture implicitly assumed by
-/// Sparks et al. [9]; the paper notes it is "inaccurate for all-reduce …
-/// and other communication paradigms".
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct Linear {
-    /// Volume exchanged with each worker.
-    pub volume: Bits,
-    /// Link bandwidth.
-    pub bandwidth: BitsPerSec,
-}
-
-impl CommModel for Linear {
-    fn time(&self, n: usize) -> Seconds {
-        if n <= 1 {
-            return Seconds::zero();
+/// The [`GdComm::Hierarchical`] closed form; each tier's link carries its
+/// own latency.
+fn hierarchical_time(volume: Bits, cluster: &ClusterSpec, n: usize) -> Seconds {
+    let (m, r) = rack_layout(cluster, n);
+    let intra = cluster.link;
+    let intra_time = (intra.latency + volume / intra.bandwidth) * (2.0 * intra_rounds(m));
+    let inter = match cluster.rack {
+        Some(rack) if r > 1 => {
+            let chunk = volume / r as f64;
+            (rack.uplink.latency + chunk / rack.uplink.bandwidth) * (2.0 * (r as f64 - 1.0))
         }
-        (self.volume / self.bandwidth) * n as f64
-    }
-
-    fn rounds(&self, n: usize) -> f64 {
-        if n <= 1 {
-            return 0.0;
-        }
-        // The master's NIC serialises one message per worker.
-        n as f64
-    }
-
-    fn name(&self) -> &'static str {
-        "linear"
-    }
-}
-
-/// Tree (logarithmic) collective: `t = M/B · log₂ n`.
-///
-/// This is the paper's recommended organisation for gradient broadcast and
-/// aggregation ("both communications can be organized as a tree in order to
-/// reduce their time complexity"), and the model used for the Fig 3 GPU
-/// cluster ("we assume that gradient aggregation uses logarithmic model of
-/// communication").
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct LogTree {
-    /// Volume moved along each tree level.
-    pub volume: Bits,
-    /// Link bandwidth.
-    pub bandwidth: BitsPerSec,
-}
-
-impl CommModel for LogTree {
-    fn time(&self, n: usize) -> Seconds {
-        if n <= 1 {
-            return Seconds::zero();
-        }
-        (self.volume / self.bandwidth) * (n as f64).log2()
-    }
-
-    fn rounds(&self, n: usize) -> f64 {
-        if n <= 1 {
-            return 0.0;
-        }
-        (n as f64).log2()
-    }
-
-    fn name(&self) -> &'static str {
-        "log-tree"
-    }
-}
-
-/// Spark's torrent-like broadcast of the model parameters: the driver splits
-/// the payload into blocks that workers re-share, completing in about
-/// `log₂ n` bandwidth-limited rounds — same asymptotic shape as [`LogTree`].
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct TorrentBroadcast {
-    /// Broadcast payload.
-    pub volume: Bits,
-    /// Link bandwidth.
-    pub bandwidth: BitsPerSec,
-}
-
-impl CommModel for TorrentBroadcast {
-    fn time(&self, n: usize) -> Seconds {
-        if n <= 1 {
-            return Seconds::zero();
-        }
-        (self.volume / self.bandwidth) * (n as f64).log2()
-    }
-
-    fn rounds(&self, n: usize) -> f64 {
-        if n <= 1 {
-            return 0.0;
-        }
-        (n as f64).log2()
-    }
-
-    fn name(&self) -> &'static str {
-        "torrent-broadcast"
-    }
-}
-
-/// Spark's two-wave `treeAggregate`: "aggregation is done in two waves.
-/// First wave is done for the square root number of the nodes and the second
-/// wave is done among the others" — `t = 2 · M/B · ⌈√n⌉`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct TwoWaveAggregation {
-    /// Per-worker gradient payload.
-    pub volume: Bits,
-    /// Link bandwidth.
-    pub bandwidth: BitsPerSec,
-}
-
-impl TwoWaveAggregation {
-    /// `⌈√n⌉`, the fan-in of each wave.
-    #[inline]
-    pub fn wave_width(n: usize) -> f64 {
-        (n as f64).sqrt().ceil()
-    }
-}
-
-impl CommModel for TwoWaveAggregation {
-    fn time(&self, n: usize) -> Seconds {
-        if n <= 1 {
-            return Seconds::zero();
-        }
-        (self.volume / self.bandwidth) * (2.0 * Self::wave_width(n))
-    }
-
-    fn rounds(&self, n: usize) -> f64 {
-        if n <= 1 {
-            return 0.0;
-        }
-        2.0 * Self::wave_width(n)
-    }
-
-    fn name(&self) -> &'static str {
-        "two-wave-aggregation"
-    }
-}
-
-/// The complete Spark gradient exchange of the Fig 2 experiment:
-///
-/// ```text
-/// t_cm = (bits·W/B)·log₂ n  +  2·(bits·W/B)·⌈√n⌉
-///        └ torrent broadcast ┘   └ two-wave treeAggregate ┘
-/// ```
-///
-/// with 64-bit parameters in Spark's case.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct SparkGradientExchange {
-    /// Parameter payload (e.g. `Bits::params(12e6, 64)`).
-    pub volume: Bits,
-    /// Link bandwidth.
-    pub bandwidth: BitsPerSec,
-}
-
-impl CommModel for SparkGradientExchange {
-    fn time(&self, n: usize) -> Seconds {
-        if n <= 1 {
-            return Seconds::zero();
-        }
-        let unit = self.volume / self.bandwidth;
-        unit * (n as f64).log2() + unit * (2.0 * TwoWaveAggregation::wave_width(n))
-    }
-
-    fn rounds(&self, n: usize) -> f64 {
-        if n <= 1 {
-            return 0.0;
-        }
-        (n as f64).log2() + 2.0 * TwoWaveAggregation::wave_width(n)
-    }
-
-    fn name(&self) -> &'static str {
-        "spark-gradient-exchange"
-    }
-}
-
-/// The paper's generic two-stage tree gradient exchange:
-/// `t_cm = 2 · (bits·W/B) · log₂ n` — broadcast down and aggregate up a
-/// binary tree. This is the `t_cm^{GD}` of Section IV-A.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct TwoStageTreeExchange {
-    /// Parameter payload.
-    pub volume: Bits,
-    /// Link bandwidth.
-    pub bandwidth: BitsPerSec,
-}
-
-impl CommModel for TwoStageTreeExchange {
-    fn time(&self, n: usize) -> Seconds {
-        if n <= 1 {
-            return Seconds::zero();
-        }
-        (self.volume / self.bandwidth) * (2.0 * (n as f64).log2())
-    }
-
-    fn rounds(&self, n: usize) -> f64 {
-        if n <= 1 {
-            return 0.0;
-        }
-        2.0 * (n as f64).log2()
-    }
-
-    fn name(&self) -> &'static str {
-        "two-stage-tree"
-    }
-}
-
-/// Bandwidth-optimal ring all-reduce: `t = 2·(n−1)/n · M/B`. Not used by
-/// the paper's exhibits but included as the standard MPI-style alternative
-/// the paper alludes to ("all-reduce, which is implemented in MPI").
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct RingAllReduce {
-    /// Full parameter payload.
-    pub volume: Bits,
-    /// Link bandwidth.
-    pub bandwidth: BitsPerSec,
-}
-
-impl CommModel for RingAllReduce {
-    fn time(&self, n: usize) -> Seconds {
-        if n <= 1 {
-            return Seconds::zero();
-        }
-        (self.volume / self.bandwidth) * (2.0 * (n as f64 - 1.0) / n as f64)
-    }
-
-    fn rounds(&self, n: usize) -> f64 {
-        if n <= 1 {
-            return 0.0;
-        }
-        // 2·(n−1) chunk steps: bandwidth-optimal but latency-hostile.
-        2.0 * (n as f64 - 1.0)
-    }
-
-    fn name(&self) -> &'static str {
-        "ring-all-reduce"
-    }
-}
-
-/// Latency-aware α–β collective model: `rounds(n)` message rounds, each
-/// costing `α + M/B` (the LogP-family refinement of the paper's pure
-/// bandwidth model — relevant once messages are small enough that setup
-/// latency competes with serialisation).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct AlphaBetaTree {
-    /// Per-message latency `α`.
-    pub latency: Seconds,
-    /// Volume per round.
-    pub volume: Bits,
-    /// Link bandwidth.
-    pub bandwidth: BitsPerSec,
-}
-
-impl CommModel for AlphaBetaTree {
-    fn time(&self, n: usize) -> Seconds {
-        if n <= 1 {
-            return Seconds::zero();
-        }
-        let per_round = self.latency + self.volume / self.bandwidth;
-        per_round * (n as f64).log2()
-    }
-
-    fn rounds(&self, n: usize) -> f64 {
-        if n <= 1 {
-            return 0.0;
-        }
-        (n as f64).log2()
-    }
-
-    fn name(&self) -> &'static str {
-        "alpha-beta-tree"
-    }
-}
-
-/// Recursive halving/doubling all-reduce (Rabenseifner's algorithm):
-/// reduce-scatter by recursive halving, then all-gather by recursive
-/// doubling. For `p = 2^⌊log₂ n⌋` participants the pure-bandwidth cost is
-/// `2·(p−1)/p · M/B` in `2·log₂ p` rounds — ring's bandwidth optimality at
-/// a tree's round count, which is why MPI uses it for large messages on
-/// latency-bound networks.
-///
-/// Non-power-of-two `n` pays the standard penalty: the `n − p` extra
-/// workers fold their vectors into partners before the exchange and
-/// receive the result after it — two extra rounds moving the full `M`
-/// each. The model is therefore (intentionally) *not* monotone in `n`:
-/// `t(5) > t(8)`, exactly as the real algorithm behaves.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct HalvingDoubling {
-    /// Full parameter payload.
-    pub volume: Bits,
-    /// Link bandwidth.
-    pub bandwidth: BitsPerSec,
-}
-
-impl HalvingDoubling {
-    /// `(p, extra)`: the power-of-two participant count and the number of
-    /// folded-in extra workers. `n <= 1` (nobody to exchange with) maps to
-    /// one participant and no extras.
-    #[inline]
-    pub fn split(n: usize) -> (usize, usize) {
-        if n <= 1 {
-            return (1, 0);
-        }
-        let p = 1 << n.ilog2();
-        (p, n - p)
-    }
-}
-
-impl CommModel for HalvingDoubling {
-    fn time(&self, n: usize) -> Seconds {
-        if n <= 1 {
-            return Seconds::zero();
-        }
-        let (p, extra) = Self::split(n);
-        let unit = self.volume / self.bandwidth;
-        let exchange = unit * (2.0 * (p as f64 - 1.0) / p as f64);
-        let fold = if extra > 0 {
-            unit * 2.0
-        } else {
-            Seconds::zero()
-        };
-        exchange + fold
-    }
-
-    fn rounds(&self, n: usize) -> f64 {
-        if n <= 1 {
-            return 0.0;
-        }
-        let (p, extra) = Self::split(n);
-        2.0 * f64::from(p.ilog2()) + if extra > 0 { 2.0 } else { 0.0 }
-    }
-
-    fn name(&self) -> &'static str {
-        "halving-doubling"
-    }
-}
-
-/// Two-tier hierarchical all-reduce over a racked cluster: binomial-tree
-/// reduce to each rack's leader over the intra-rack link, ring all-reduce
-/// among the `r` rack leaders over the uplink, binomial-tree broadcast
-/// back down. Inherently latency-aware — each tier's [`LinkSpec`] carries
-/// its own `α` — so it must **not** be wrapped in [`AlphaBeta`] (that
-/// would double-count the latency):
-///
-/// ```text
-/// t(n) = 2·⌈log₂ m⌉·(α_i + M/B_i)  +  2·(r−1)·(α_u + (M/r)/B_u)
-/// ```
-///
-/// with `m` the fullest rack's worker count and `r` the rack count. This
-/// is the shape flat models cannot express: the expensive uplink carries
-/// only `r − 1 ≪ n` hops of `M/r` chunks, so the cross-rack wall moves
-/// out by roughly the rack size.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct Hierarchical {
-    /// Full parameter payload.
-    pub volume: Bits,
-    /// Workers per rack.
-    pub rack_size: usize,
-    /// Intra-rack link (bandwidth + per-message latency).
-    pub intra: LinkSpec,
-    /// Inter-rack uplink (bandwidth + per-message latency).
-    pub uplink: LinkSpec,
-}
-
-impl Hierarchical {
-    /// Builds the collective from a [`ClusterSpec`]. A flat cluster (no
-    /// rack topology) degenerates to a single all-encompassing rack: the
-    /// uplink is never used and the model reduces to a binomial-tree
-    /// exchange over the base link.
-    pub fn from_cluster(volume: Bits, cluster: &ClusterSpec) -> Self {
-        match cluster.rack {
-            Some(rack) => Self {
-                volume,
-                rack_size: rack.nodes_per_rack,
-                intra: cluster.link,
-                uplink: rack.uplink,
-            },
-            None => Self {
-                volume,
-                rack_size: usize::MAX,
-                intra: cluster.link,
-                uplink: cluster.link,
-            },
-        }
-    }
-
-    /// `(m, r)`: workers in the fullest rack and number of racks.
-    #[inline]
-    fn layout(&self, n: usize) -> (usize, usize) {
-        let m = self.rack_size.min(n);
-        let r = n.div_ceil(self.rack_size).max(1);
-        (m, r)
-    }
-
-    /// Binomial-tree rounds to reduce (or broadcast among) `m` rack
-    /// members including the leader: `⌈log₂ m⌉`.
-    #[inline]
-    fn intra_rounds(m: usize) -> f64 {
-        if m <= 1 {
-            0.0
-        } else {
-            (m as f64).log2().ceil()
-        }
-    }
-}
-
-impl CommModel for Hierarchical {
-    fn time(&self, n: usize) -> Seconds {
-        if n <= 1 {
-            return Seconds::zero();
-        }
-        let (m, r) = self.layout(n);
-        let intra_unit = self.intra.latency + self.volume / self.intra.bandwidth;
-        let intra = intra_unit * (2.0 * Self::intra_rounds(m));
-        let inter = if r > 1 {
-            let chunk = self.volume / r as f64;
-            (self.uplink.latency + chunk / self.uplink.bandwidth) * (2.0 * (r as f64 - 1.0))
-        } else {
-            Seconds::zero()
-        };
-        intra + inter
-    }
-
-    fn rounds(&self, n: usize) -> f64 {
-        if n <= 1 {
-            return 0.0;
-        }
-        let (m, r) = self.layout(n);
-        2.0 * Self::intra_rounds(m) + 2.0 * (r as f64 - 1.0)
-    }
-
-    fn name(&self) -> &'static str {
-        "hierarchical"
-    }
-}
-
-/// Adds per-message latency to any pure-bandwidth model: the α–β form
-/// `t = α·rounds(n) + inner.time(n)`. With `latency == 0` this is exactly
-/// the wrapped model — the backwards-compatibility guarantee for every
-/// pre-existing exhibit answer.
-#[derive(Debug, Clone, Copy)]
-pub struct AlphaBeta<M> {
-    /// The pure-bandwidth collective being refined.
-    pub inner: M,
-    /// Per-message setup latency `α`.
-    pub latency: Seconds,
-}
-
-impl<M: CommModel> CommModel for AlphaBeta<M> {
-    fn time(&self, n: usize) -> Seconds {
-        if n <= 1 {
-            return Seconds::zero();
-        }
-        self.inner.time(n) + self.latency * self.inner.rounds(n)
-    }
-
-    fn rounds(&self, n: usize) -> f64 {
-        self.inner.rounds(n)
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-}
-
-/// A *flat* collective evaluated on a racked cluster: while the job fits
-/// inside one rack it runs at intra-rack cost (`within`); once it spans
-/// racks, every round is charged at the uplink tier (`spanning`).
-///
-/// For the ring pipeline this two-regime model is exact — a ring's
-/// throughput is set by the slowest link on the cycle, so one cross-rack
-/// hop gates all `2·(n−1)` steps. For tree-shaped schedules it is a
-/// conservative (pessimistic) bound: some rounds stay on fast intra-rack
-/// links, which only a topology-aware collective like [`Hierarchical`]
-/// can exploit — that gap *is* the case for hierarchical collectives.
-#[derive(Debug, Clone, Copy)]
-pub struct RackTiered<A, B> {
-    /// Workers per rack: the regime boundary.
-    pub rack_size: usize,
-    /// Model while `n <= rack_size` (intra-rack links).
-    pub within: A,
-    /// Model once `n > rack_size` (uplink tier).
-    pub spanning: B,
-}
-
-impl<A: CommModel, B: CommModel> CommModel for RackTiered<A, B> {
-    fn time(&self, n: usize) -> Seconds {
-        if n <= 1 {
-            return Seconds::zero();
-        }
-        if n <= self.rack_size {
-            self.within.time(n)
-        } else {
-            self.spanning.time(n)
-        }
-    }
-
-    fn rounds(&self, n: usize) -> f64 {
-        if n <= self.rack_size {
-            self.within.rounds(n)
-        } else {
-            self.spanning.rounds(n)
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        self.within.name()
-    }
-}
-
-/// Sum of several communication phases executed back to back (BSP phases do
-/// not overlap).
-#[derive(Debug, Default)]
-pub struct Composite {
-    phases: Vec<Box<dyn CommModel>>,
-}
-
-impl Composite {
-    /// Empty composite (zero time).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a phase.
-    #[must_use]
-    pub fn with(mut self, phase: impl CommModel + 'static) -> Self {
-        self.phases.push(Box::new(phase));
-        self
-    }
-
-    /// Number of phases.
-    pub fn len(&self) -> usize {
-        self.phases.len()
-    }
-
-    /// True when no phases are present.
-    pub fn is_empty(&self) -> bool {
-        self.phases.is_empty()
-    }
-}
-
-impl CommModel for Composite {
-    fn time(&self, n: usize) -> Seconds {
-        if n <= 1 {
-            // Guard here as well as in the phases: the invariant must hold
-            // even for phases built from raw closures.
-            return Seconds::zero();
-        }
-        self.phases.iter().map(|p| p.time(n)).sum()
-    }
-
-    fn rounds(&self, n: usize) -> f64 {
-        if n <= 1 {
-            return 0.0;
-        }
-        self.phases.iter().map(|p| p.rounds(n)).sum()
-    }
-
-    fn name(&self) -> &'static str {
-        "composite"
-    }
-}
-
-/// Scales an inner model by a constant factor (e.g. number of repetitions
-/// of a collective inside one superstep).
-#[derive(Debug)]
-pub struct Scaled<M> {
-    /// The wrapped model.
-    pub inner: M,
-    /// Multiplier applied to the inner model's time.
-    pub factor: f64,
-}
-
-impl<M: CommModel> CommModel for Scaled<M> {
-    fn time(&self, n: usize) -> Seconds {
-        if n <= 1 {
-            return Seconds::zero();
-        }
-        self.inner.time(n) * self.factor
-    }
-
-    fn rounds(&self, n: usize) -> f64 {
-        if n <= 1 {
-            return 0.0;
-        }
-        self.inner.rounds(n) * self.factor
-    }
-
-    fn name(&self) -> &'static str {
-        "scaled"
-    }
-}
-
-/// An arbitrary closure-backed model for quick experimentation.
-pub struct FnComm<F> {
-    f: F,
-    label: &'static str,
-}
-
-impl<F> FnComm<F> {
-    /// Wraps `f(n) -> Seconds` as a [`CommModel`].
-    pub fn new(label: &'static str, f: F) -> Self {
-        Self { f, label }
-    }
-}
-
-impl<F> std::fmt::Debug for FnComm<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "FnComm({})", self.label)
-    }
-}
-
-impl<F: Fn(usize) -> Seconds + Send + Sync> CommModel for FnComm<F> {
-    fn time(&self, n: usize) -> Seconds {
-        if n <= 1 {
-            return Seconds::zero();
-        }
-        (self.f)(n)
-    }
-
-    fn name(&self) -> &'static str {
-        self.label
-    }
-}
-
-impl<M: CommModel + ?Sized> CommModel for Box<M> {
-    fn time(&self, n: usize) -> Seconds {
-        (**self).time(n)
-    }
-
-    fn rounds(&self, n: usize) -> f64 {
-        (**self).rounds(n)
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-}
-
-impl<M: CommModel + ?Sized> CommModel for std::sync::Arc<M> {
-    fn time(&self, n: usize) -> Seconds {
-        (**self).time(n)
-    }
-
-    fn rounds(&self, n: usize) -> f64 {
-        (**self).rounds(n)
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
+        _ => Seconds::zero(),
+    };
+    intra_time + inter
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hardware::{presets, LinkSpec, RackSpec};
+    use crate::units::BitsPerSec;
+
+    const ALL: [GdComm; 7] = [
+        GdComm::TwoStageTree,
+        GdComm::Spark,
+        GdComm::LinearFlat,
+        GdComm::Ring,
+        GdComm::HalvingDoubling,
+        GdComm::Hierarchical,
+        GdComm::None,
+    ];
 
     fn vol() -> Bits {
         Bits::mega(100.0)
@@ -753,386 +238,229 @@ mod tests {
         BitsPerSec::giga(1.0)
     }
 
+    /// A flat cluster on one link of `bandwidth` and `latency`.
+    fn flat(bandwidth: BitsPerSec, latency: Seconds) -> ClusterSpec {
+        ClusterSpec::new(
+            presets::xeon_e3_1240_double(),
+            LinkSpec::new(bandwidth, latency),
+        )
+    }
+
+    /// A cluster on `intra` links in racks of `rack_size` joined by `uplink`.
+    fn racked(intra: LinkSpec, rack_size: usize, uplink: LinkSpec) -> ClusterSpec {
+        ClusterSpec::new(presets::xeon_e3_1240_double(), intra)
+            .with_racks(RackSpec::new(rack_size, uplink))
+    }
+
+    fn t(comm: GdComm, cluster: &ClusterSpec, n: usize) -> f64 {
+        comm.time(vol(), cluster, n).as_secs()
+    }
+
     #[test]
     fn all_models_zero_at_one_worker() {
-        let models: Vec<Box<dyn CommModel>> = vec![
-            Box::new(NoComm),
-            Box::new(Linear {
-                volume: vol(),
-                bandwidth: bw(),
-            }),
-            Box::new(LogTree {
-                volume: vol(),
-                bandwidth: bw(),
-            }),
-            Box::new(TorrentBroadcast {
-                volume: vol(),
-                bandwidth: bw(),
-            }),
-            Box::new(TwoWaveAggregation {
-                volume: vol(),
-                bandwidth: bw(),
-            }),
-            Box::new(SparkGradientExchange {
-                volume: vol(),
-                bandwidth: bw(),
-            }),
-            Box::new(TwoStageTreeExchange {
-                volume: vol(),
-                bandwidth: bw(),
-            }),
-            Box::new(RingAllReduce {
-                volume: vol(),
-                bandwidth: bw(),
-            }),
+        let latency = Seconds::from_micros(50.0);
+        let clusters = [
+            flat(bw(), Seconds::zero()),
+            flat(bw(), latency),
+            racked(
+                LinkSpec::new(bw(), latency),
+                4,
+                LinkSpec::bandwidth_only(bw()),
+            ),
         ];
-        for m in &models {
-            assert!(m.time(1).is_zero(), "{} must be zero at n=1", m.name());
+        for cluster in &clusters {
+            for comm in ALL {
+                assert!(comm.time(vol(), cluster, 1).is_zero(), "{comm:?} at n=1");
+                assert_eq!(comm.rounds(cluster, 1), 0.0, "{comm:?} rounds at n=1");
+            }
         }
     }
 
     #[test]
     fn linear_grows_linearly() {
-        let m = Linear {
-            volume: vol(),
-            bandwidth: bw(),
-        };
-        let t4 = m.time(4).as_secs();
-        let t8 = m.time(8).as_secs();
+        let c = flat(bw(), Seconds::zero());
+        let (t4, t8) = (t(GdComm::LinearFlat, &c, 4), t(GdComm::LinearFlat, &c, 8));
         assert!((t8 / t4 - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn logtree_grows_logarithmically() {
-        let m = LogTree {
-            volume: vol(),
-            bandwidth: bw(),
-        };
+        let c = flat(bw(), Seconds::zero());
         // log2(4)=2, log2(16)=4.
-        assert!((m.time(16).as_secs() / m.time(4).as_secs() - 2.0).abs() < 1e-12);
+        let ratio = t(GdComm::TwoStageTree, &c, 16) / t(GdComm::TwoStageTree, &c, 4);
+        assert!((ratio - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn two_wave_uses_ceil_sqrt() {
-        let m = TwoWaveAggregation {
-            volume: vol(),
-            bandwidth: bw(),
-        };
+        let c = flat(bw(), Seconds::zero());
         let unit = (vol() / bw()).as_secs();
-        // n=9: ceil(sqrt(9)) = 3, so t = 2·3·unit.
-        assert!((m.time(9).as_secs() - 6.0 * unit).abs() < 1e-9);
+        // Spark's two-wave term is what is left after the torrent's log₂ n.
+        let two_wave = |n: usize| t(GdComm::Spark, &c, n) - unit * (n as f64).log2();
+        // n=9: ceil(sqrt(9)) = 3, so 2·3·unit.
+        assert!((two_wave(9) - 6.0 * unit).abs() < 1e-9);
         // n=10: ceil(sqrt(10)) = 4.
-        assert!((m.time(10).as_secs() - 8.0 * unit).abs() < 1e-9);
+        assert!((two_wave(10) - 8.0 * unit).abs() < 1e-9);
+        assert_eq!(GdComm::Spark.rounds(&c, 10), 10f64.log2() + 8.0);
     }
 
     #[test]
     fn spark_exchange_matches_paper_formula() {
         // Paper Fig 2: t_cm = (64·W/B)·log(n) + 2·(64·W/B)·⌈√n⌉.
         let w = 12e6;
-        let volume = Bits::params(w, 64);
-        let m = SparkGradientExchange {
-            volume,
-            bandwidth: bw(),
-        };
         let n = 9usize;
         let unit = 64.0 * w / 1e9;
         let expected = unit * (n as f64).log2() + 2.0 * unit * 3.0;
-        assert!((m.time(n).as_secs() - expected).abs() < 1e-9);
+        let got = GdComm::Spark.time(Bits::params(w, 64), &presets::spark_cluster(), n);
+        assert!((got.as_secs() - expected).abs() < 1e-9);
     }
 
     #[test]
     fn two_stage_tree_matches_paper_formula() {
         // Paper Section IV-A: t_cm = 2·(32·W/B)·log(n).
         let w = 25e6;
-        let m = TwoStageTreeExchange {
-            volume: Bits::params(w, 32),
-            bandwidth: bw(),
-        };
         let n = 32usize;
         let expected = 2.0 * (32.0 * w / 1e9) * (n as f64).log2();
-        assert!((m.time(n).as_secs() - expected).abs() < 1e-9);
+        let got = GdComm::TwoStageTree.time(Bits::params(w, 32), &presets::gpu_cluster(), n);
+        assert!((got.as_secs() - expected).abs() < 1e-9);
     }
 
     #[test]
     fn ring_all_reduce_approaches_2x_volume() {
-        let m = RingAllReduce {
-            volume: vol(),
-            bandwidth: bw(),
-        };
         let unit = (vol() / bw()).as_secs();
-        let t = m.time(1000).as_secs();
+        let t = t(GdComm::Ring, &flat(bw(), Seconds::zero()), 1000);
         assert!((t - 2.0 * unit).abs() / (2.0 * unit) < 0.01);
     }
 
     #[test]
-    fn composite_sums_phases() {
-        let c = Composite::new()
-            .with(LogTree {
-                volume: vol(),
-                bandwidth: bw(),
-            })
-            .with(TwoWaveAggregation {
-                volume: vol(),
-                bandwidth: bw(),
-            });
-        let expected = LogTree {
-            volume: vol(),
-            bandwidth: bw(),
-        }
-        .time(8)
-            + TwoWaveAggregation {
-                volume: vol(),
-                bandwidth: bw(),
-            }
-            .time(8);
-        assert_eq!(c.time(8), expected);
-        assert_eq!(c.len(), 2);
-        assert!(!c.is_empty());
-    }
-
-    #[test]
-    fn scaled_multiplies() {
-        let inner = LogTree {
-            volume: vol(),
-            bandwidth: bw(),
-        };
-        let s = Scaled { inner, factor: 3.0 };
-        assert!((s.time(8).as_secs() - 3.0 * inner.time(8).as_secs()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fn_comm_is_zero_at_one() {
-        let m = FnComm::new("const", |_n| Seconds::new(5.0));
-        assert!(m.time(1).is_zero());
-        assert_eq!(m.time(2).as_secs(), 5.0);
-    }
-
-    #[test]
     fn alpha_beta_adds_latency_per_round() {
-        let m = AlphaBetaTree {
-            latency: Seconds::from_millis(1.0),
-            volume: vol(),
-            bandwidth: bw(),
-        };
-        let pure = LogTree {
-            volume: vol(),
-            bandwidth: bw(),
-        };
+        let c = flat(bw(), Seconds::from_millis(1.0));
         let n = 16usize;
-        let expected = pure.time(n).as_secs() + 0.001 * (n as f64).log2();
-        assert!((m.time(n).as_secs() - expected).abs() < 1e-12);
-        assert!(m.time(1).is_zero());
+        let unit = (vol() / bw()).as_secs();
+        // 2·log₂ 16 = 8 rounds, each paying 1 ms on top of its M/B.
+        let expected = 8.0 * unit + 8.0 * 0.001;
+        assert!((t(GdComm::TwoStageTree, &c, n) - expected).abs() < 1e-12);
+        assert_eq!(GdComm::TwoStageTree.rounds(&c, n), 8.0);
     }
 
     #[test]
     fn alpha_beta_latency_dominates_small_messages() {
-        let m = AlphaBetaTree {
-            latency: Seconds::from_millis(1.0),
-            volume: Bits::new(8.0), // 8 ns of serialisation
-            bandwidth: bw(),
-        };
-        let t = m.time(8).as_secs();
+        let c = flat(bw(), Seconds::from_millis(1.0));
+        // 8 bits: 8 ns of serialisation per round.
+        let t = GdComm::TwoStageTree.time(Bits::new(8.0), &c, 8).as_secs();
         assert!(
-            (t - 0.003).abs() < 1e-6,
-            "3 rounds of ~1 ms latency, got {t}"
+            (t - 0.006).abs() < 1e-6,
+            "6 rounds of ~1 ms latency, got {t}"
         );
     }
 
     #[test]
     fn halving_doubling_matches_ring_volume_on_powers_of_two() {
-        let hd = HalvingDoubling {
-            volume: vol(),
-            bandwidth: bw(),
-        };
-        let ring = RingAllReduce {
-            volume: vol(),
-            bandwidth: bw(),
-        };
+        let c = flat(bw(), Seconds::zero());
         for n in [2usize, 4, 8, 16, 64] {
             assert!(
-                (hd.time(n).as_secs() - ring.time(n).as_secs()).abs() < 1e-12,
+                (t(GdComm::HalvingDoubling, &c, n) - t(GdComm::Ring, &c, n)).abs() < 1e-12,
                 "same 2(n−1)/n·M/B volume term at n={n}"
             );
         }
         // But far fewer rounds: 2·log₂ n vs 2·(n−1).
-        assert_eq!(hd.rounds(64), 12.0);
-        assert_eq!(ring.rounds(64), 126.0);
+        assert_eq!(GdComm::HalvingDoubling.rounds(&c, 64), 12.0);
+        assert_eq!(GdComm::Ring.rounds(&c, 64), 126.0);
     }
 
     #[test]
     fn halving_doubling_split_handles_degenerate_counts() {
-        assert_eq!(HalvingDoubling::split(0), (1, 0));
-        assert_eq!(HalvingDoubling::split(1), (1, 0));
-        assert_eq!(HalvingDoubling::split(2), (2, 0));
-        assert_eq!(HalvingDoubling::split(5), (4, 1));
-        assert_eq!(HalvingDoubling::split(64), (64, 0));
+        assert_eq!(halving_split(0), (1, 0));
+        assert_eq!(halving_split(1), (1, 0));
+        assert_eq!(halving_split(2), (2, 0));
+        assert_eq!(halving_split(5), (4, 1));
+        assert_eq!(halving_split(64), (64, 0));
     }
 
     #[test]
     fn rack_tiered_switches_regime_at_rack_size() {
-        let within = RingAllReduce {
-            volume: vol(),
-            bandwidth: BitsPerSec::giga(10.0),
-        };
-        let spanning = RingAllReduce {
-            volume: vol(),
-            bandwidth: bw(),
-        };
-        let tiered = RackTiered {
-            rack_size: 16,
-            within,
-            spanning,
-        };
-        assert!(tiered.time(1).is_zero());
-        assert_eq!(tiered.time(16), within.time(16), "fits one rack");
-        assert_eq!(tiered.time(17), spanning.time(17), "spans racks");
-        assert_eq!(tiered.rounds(64), spanning.rounds(64));
-        assert_eq!(tiered.name(), "ring-all-reduce");
+        let intra = LinkSpec::bandwidth_only(BitsPerSec::giga(10.0));
+        let uplink = LinkSpec::bandwidth_only(bw());
+        let pod = racked(intra, 16, uplink);
+        let within = flat(intra.bandwidth, Seconds::zero());
+        let spanning = flat(uplink.bandwidth, Seconds::zero());
+        let ring = GdComm::Ring;
+        assert_eq!(t(ring, &pod, 16), t(ring, &within, 16), "fits one rack");
+        assert_eq!(t(ring, &pod, 17), t(ring, &spanning, 17), "spans racks");
+        assert_eq!(ring.rounds(&pod, 64), ring.rounds(&spanning, 64));
+        // A latency-bearing uplink charges its own α once the job spans racks.
+        let slow = LinkSpec::new(bw(), Seconds::from_micros(50.0));
+        let pod = racked(intra, 16, slow);
+        let expected = t(ring, &spanning, 17) + 50e-6 * ring.rounds(&pod, 17);
+        assert_eq!(t(ring, &pod, 16), t(ring, &within, 16));
+        assert!((t(ring, &pod, 17) - expected).abs() < 1e-15);
     }
 
     #[test]
     fn halving_doubling_non_power_pays_fold_penalty() {
-        let hd = HalvingDoubling {
-            volume: vol(),
-            bandwidth: bw(),
-        };
+        let c = flat(bw(), Seconds::zero());
         let unit = (vol() / bw()).as_secs();
         // n=5 → p=4, extra=1: 2·(3/4)·unit + 2·unit.
-        assert!((hd.time(5).as_secs() - (1.5 + 2.0) * unit).abs() < 1e-9);
-        assert_eq!(hd.rounds(5), 2.0 * 2.0 + 2.0);
+        assert!((t(GdComm::HalvingDoubling, &c, 5) - (1.5 + 2.0) * unit).abs() < 1e-9);
+        assert_eq!(GdComm::HalvingDoubling.rounds(&c, 5), 2.0 * 2.0 + 2.0);
         // The fold makes t(5) worse than t(8) — real algorithm behaviour.
-        assert!(hd.time(5) > hd.time(8));
-    }
-
-    #[test]
-    fn alpha_beta_wrapper_adds_rounds_times_latency() {
-        let inner = TwoStageTreeExchange {
-            volume: vol(),
-            bandwidth: bw(),
-        };
-        let ab = AlphaBeta {
-            inner,
-            latency: Seconds::from_millis(2.0),
-        };
-        let n = 16;
-        let expected = inner.time(n).as_secs() + 0.002 * inner.rounds(n);
-        assert!((ab.time(n).as_secs() - expected).abs() < 1e-12);
-        assert_eq!(ab.rounds(n), inner.rounds(n));
-        assert_eq!(ab.name(), inner.name());
-        assert!(ab.time(1).is_zero());
-    }
-
-    #[test]
-    fn alpha_beta_zero_latency_is_identity() {
-        let inner = SparkGradientExchange {
-            volume: vol(),
-            bandwidth: bw(),
-        };
-        let ab = AlphaBeta {
-            inner,
-            latency: Seconds::zero(),
-        };
-        for n in 1..=40 {
-            assert_eq!(ab.time(n), inner.time(n));
-        }
+        assert!(t(GdComm::HalvingDoubling, &c, 5) > t(GdComm::HalvingDoubling, &c, 8));
     }
 
     #[test]
     fn alpha_beta_flips_ring_vs_tree_ordering() {
         // Pure bandwidth: ring beats tree. Latency-bound (tiny payload):
         // ring's 2(n−1) rounds lose to the tree's 2·log₂ n.
-        let volume = Bits::new(8e3); // 1 KB
-        let ring = AlphaBeta {
-            inner: RingAllReduce {
-                volume,
-                bandwidth: bw(),
-            },
-            latency: Seconds::from_micros(50.0),
-        };
-        let tree = AlphaBeta {
-            inner: TwoStageTreeExchange {
-                volume,
-                bandwidth: bw(),
-            },
-            latency: Seconds::from_micros(50.0),
-        };
-        assert!(tree.time(64) < ring.time(64), "latency-bound: tree wins");
-        let big = Bits::giga(1.0);
-        let ring_big = AlphaBeta {
-            inner: RingAllReduce {
-                volume: big,
-                bandwidth: bw(),
-            },
-            latency: Seconds::from_micros(50.0),
-        };
-        let tree_big = AlphaBeta {
-            inner: TwoStageTreeExchange {
-                volume: big,
-                bandwidth: bw(),
-            },
-            latency: Seconds::from_micros(50.0),
-        };
+        let c = flat(bw(), Seconds::from_micros(50.0));
+        let small = Bits::new(8e3); // 1 KB
         assert!(
-            ring_big.time(64) < tree_big.time(64),
+            GdComm::TwoStageTree.time(small, &c, 64) < GdComm::Ring.time(small, &c, 64),
+            "latency-bound: tree wins"
+        );
+        let big = Bits::giga(1.0);
+        assert!(
+            GdComm::Ring.time(big, &c, 64) < GdComm::TwoStageTree.time(big, &c, 64),
             "bandwidth-bound: ring wins"
         );
     }
 
     #[test]
     fn hierarchical_matches_closed_form() {
-        let h = Hierarchical {
-            volume: vol(),
-            rack_size: 8,
-            intra: LinkSpec::new(BitsPerSec::giga(10.0), Seconds::from_micros(5.0)),
-            uplink: LinkSpec::new(BitsPerSec::giga(1.0), Seconds::from_micros(50.0)),
-        };
+        let pod = racked(
+            LinkSpec::new(BitsPerSec::giga(10.0), Seconds::from_micros(5.0)),
+            8,
+            LinkSpec::new(BitsPerSec::giga(1.0), Seconds::from_micros(50.0)),
+        );
         // n = 32: m = 8 (⌈log₂ 8⌉ = 3 rounds each way), r = 4.
         let intra_unit = 5e-6 + 100e6 / 10e9;
         let chunk = 100e6 / 4.0;
         let inter = 2.0 * 3.0 * (50e-6 + chunk / 1e9);
         let expected = 2.0 * 3.0 * intra_unit + inter;
-        assert!((h.time(32).as_secs() - expected).abs() < 1e-12);
-        assert_eq!(h.rounds(32), 6.0 + 6.0);
-        assert!(h.time(1).is_zero());
+        assert!((t(GdComm::Hierarchical, &pod, 32) - expected).abs() < 1e-12);
+        assert_eq!(GdComm::Hierarchical.rounds(&pod, 32), 6.0 + 6.0);
     }
 
     #[test]
     fn hierarchical_single_rack_skips_uplink() {
-        let h = Hierarchical {
-            volume: vol(),
-            rack_size: 16,
-            intra: LinkSpec::bandwidth_only(bw()),
-            uplink: LinkSpec::bandwidth_only(BitsPerSec::mega(1.0)), // terrible
-        };
+        let terrible = LinkSpec::bandwidth_only(BitsPerSec::mega(1.0));
+        let pod = racked(LinkSpec::bandwidth_only(bw()), 16, terrible);
         // n = 8 fits one rack: only intra rounds, uplink untouched.
         let unit = (vol() / bw()).as_secs();
-        assert!((h.time(8).as_secs() - 2.0 * 3.0 * unit).abs() < 1e-9);
+        assert!((t(GdComm::Hierarchical, &pod, 8) - 2.0 * 3.0 * unit).abs() < 1e-9);
     }
 
     #[test]
     fn hierarchical_beats_flat_tree_across_racks() {
         // A flat tree pays every round on the slow uplink-class network;
-        // the hierarchical composite keeps most hops on the fast intra
+        // the hierarchical collective keeps most hops on the fast intra
         // links and moves only M/r chunks across racks.
-        let volume = vol();
         let slow = LinkSpec::new(BitsPerSec::giga(1.0), Seconds::from_micros(50.0));
         let fast = LinkSpec::new(BitsPerSec::giga(10.0), Seconds::from_micros(5.0));
-        let flat = AlphaBeta {
-            inner: TwoStageTreeExchange {
-                volume,
-                bandwidth: slow.bandwidth,
-            },
-            latency: slow.latency,
-        };
-        let hier = Hierarchical {
-            volume,
-            rack_size: 16,
-            intra: fast,
-            uplink: slow,
-        };
+        let flat_slow = flat(slow.bandwidth, slow.latency);
+        let pod = racked(fast, 16, slow);
         for n in [32usize, 48, 64] {
             assert!(
-                hier.time(n) < flat.time(n),
+                t(GdComm::Hierarchical, &pod, n) < t(GdComm::TwoStageTree, &flat_slow, n),
                 "hierarchical must win at n={n}"
             );
         }
@@ -1140,40 +468,19 @@ mod tests {
 
     #[test]
     fn hierarchical_from_flat_cluster_degenerates_to_one_rack() {
-        use crate::hardware::presets;
-        let h = Hierarchical::from_cluster(vol(), &presets::spark_cluster());
         let unit = (vol() / bw()).as_secs();
         // One big rack: 2·⌈log₂ n⌉ intra rounds, no uplink term.
-        assert!((h.time(8).as_secs() - 6.0 * unit).abs() < 1e-9);
-        let racked = Hierarchical::from_cluster(vol(), &presets::two_tier_pod());
-        assert_eq!(racked.rack_size, 16);
-    }
-
-    #[test]
-    fn composite_and_scaled_zero_at_one_worker() {
-        let c = Composite::new().with(FnComm::new("raw", |_| Seconds::new(7.0)));
-        assert!(c.time(1).is_zero());
-        let s = Scaled {
-            inner: FnComm::new("raw", |_| Seconds::new(7.0)),
-            factor: 3.0,
-        };
-        assert!(s.time(1).is_zero());
-        assert_eq!(s.rounds(1), 0.0);
+        let c = presets::spark_cluster();
+        assert!((t(GdComm::Hierarchical, &c, 8) - 6.0 * unit).abs() < 1e-9);
+        assert_eq!(GdComm::Hierarchical.rounds(&c, 1000), 2.0 * 10.0);
     }
 
     #[test]
     fn tree_beats_linear_for_large_n() {
-        let lin = Linear {
-            volume: vol(),
-            bandwidth: bw(),
-        };
-        let tree = LogTree {
-            volume: vol(),
-            bandwidth: bw(),
-        };
+        let c = flat(bw(), Seconds::zero());
         for n in [4usize, 16, 64, 256] {
             assert!(
-                tree.time(n) < lin.time(n),
+                t(GdComm::TwoStageTree, &c, n) < t(GdComm::LinearFlat, &c, n),
                 "tree should beat linear at n={n}"
             );
         }

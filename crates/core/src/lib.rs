@@ -8,10 +8,11 @@
 //! profiling runs), how a distributed machine-learning algorithm scales
 //! with the number of workers:
 //!
-//! * an algorithm is a series of BSP [supersteps](superstep), each a
-//!   computation phase ([`comp`]) followed by a non-overlapping
-//!   communication phase ([`comm`]): `t = t_cp + t_cm`;
-//! * scalability is read off the [speedup](speedup) curve
+//! * an algorithm is a series of BSP supersteps, each a computation phase
+//!   followed by a non-overlapping communication phase: `t = t_cp + t_cm`.
+//!   The models compute both terms directly, and [`comm`] prices the
+//!   collectives (pure-bandwidth and α–β forms, flat and two-tier racks);
+//! * scalability is read off the [speedup] curve
 //!   `s(n) = t(1)/t(n)`, whose argmax is the optimal cluster size;
 //! * [strong and weak scaling](scaling) answer the two practitioner
 //!   questions: "how many machines to get K× faster?" and "how many
@@ -53,7 +54,6 @@
 #![warn(clippy::all)]
 
 pub mod comm;
-pub mod comp;
 pub mod faultpoint;
 pub mod hardware;
 pub mod metrics;
@@ -62,7 +62,6 @@ pub mod planner;
 pub mod scaling;
 pub mod speedup;
 pub mod straggler;
-pub mod superstep;
 pub mod units;
 
 /// Algorithm-specific instantiations of the framework.
@@ -72,11 +71,8 @@ pub mod models {
     pub mod graphinf;
 }
 
-pub use comm::CommModel;
-pub use comp::CompModel;
 pub use hardware::{ClusterSpec, Heterogeneity, LinkSpec, NodeSpec};
 pub use speedup::SpeedupCurve;
 pub use straggler::{
     OrderStatCache, OrderStatCachePool, StragglerGdModel, StragglerGraphModel, StragglerModel,
 };
-pub use superstep::{AlgorithmModel, Superstep};

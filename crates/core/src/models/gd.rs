@@ -8,46 +8,18 @@
 //! t_cp = C·S / (F·n)                      -- computation
 //! t_cm = 2·(bits·W/B)·log₂ n              -- generic tree exchange
 //!      | (bits·W/B)·log₂ n + 2·(bits·W/B)·⌈√n⌉   -- Spark (Fig 2)
-//!      | n·(bits·W/B)                     -- linear (ablation)
+//!      | 2·n·(bits·W/B)                   -- linear (ablation)
 //! ```
 //!
 //! where `C` is the per-example gradient cost, `S` the batch size, `W` the
 //! number of parameters, `F` effective FLOPS per node and `B` the link
 //! bandwidth.
 
-use crate::comm::{
-    AlphaBeta, CommModel, HalvingDoubling, Hierarchical, Linear, NoComm, RackTiered, RingAllReduce,
-    SparkGradientExchange, TwoStageTreeExchange,
-};
+pub use crate::comm::GdComm;
 use crate::hardware::ClusterSpec;
 use crate::speedup::SpeedupCurve;
 use crate::units::{Bits, FlopCount, Seconds};
 use serde::{Deserialize, Serialize};
-
-/// Which communication architecture moves the gradients/parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum GdComm {
-    /// The paper's generic model: broadcast + aggregation each organised as
-    /// a binary tree, `t_cm = 2·(bits·W/B)·log₂ n`.
-    TwoStageTree,
-    /// Spark's actual mechanism (Fig 2): torrent broadcast (`log₂ n`) plus
-    /// two-wave `treeAggregate` (`2·⌈√n⌉`).
-    Spark,
-    /// Flat master-centric exchange, `t_cm = 2·n·(bits·W/B)` — the
-    /// linear-communication baseline the paper contrasts against.
-    LinearFlat,
-    /// Bandwidth-optimal ring all-reduce, `t_cm = 2·(n−1)/n·(bits·W/B)`.
-    Ring,
-    /// Recursive halving/doubling all-reduce: ring's bandwidth term in
-    /// only `2·log₂ n` rounds — the MPI large-message workhorse.
-    HalvingDoubling,
-    /// Two-tier rack-aware collective: intra-rack tree + inter-rack ring
-    /// over the cluster's [`crate::hardware::RackSpec`] topology. On a
-    /// flat cluster it degenerates to a single-rack tree exchange.
-    Hierarchical,
-    /// No communication (upper bound / single-machine sanity checks).
-    None,
-}
 
 /// Scalability model of synchronous data-parallel gradient descent.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -75,66 +47,9 @@ impl GradientDescentModel {
         Bits::params(self.params, self.bits_per_param)
     }
 
-    /// The communication model object for this configuration.
-    ///
-    /// When the cluster's link carries a per-message latency, every
-    /// pure-bandwidth collective is wrapped in [`AlphaBeta`] so `t_cm`
-    /// takes the full `rounds·α + volume/B` form; at zero latency the
-    /// wrapper is exactly the paper's bandwidth-only model.
-    /// [`GdComm::Hierarchical`] reads latency from its per-tier links and
-    /// is never double-wrapped.
-    ///
-    /// A *flat* collective on a cluster with a rack topology is evaluated
-    /// through [`RackTiered`]: intra-rack link parameters while the job
-    /// fits one rack, the uplink tier once it spans racks (exact for the
-    /// ring pipeline, conservative for tree shapes) — keeping the analytic
-    /// prediction honest against the rack-routing simulator instead of
-    /// silently assuming every hop is intra-rack.
-    pub fn comm_model(&self) -> Box<dyn CommModel> {
-        let volume = self.param_volume();
-        if matches!(self.comm, GdComm::Hierarchical) {
-            return Box::new(Hierarchical::from_cluster(volume, &self.cluster));
-        }
-        match self.cluster.rack {
-            None => self.flat_comm_model(self.cluster.link),
-            Some(rack) => Box::new(RackTiered {
-                rack_size: rack.nodes_per_rack,
-                within: self.flat_comm_model(self.cluster.link),
-                spanning: self.flat_comm_model(rack.uplink),
-            }),
-        }
-    }
-
-    /// The configured flat collective priced over one link tier.
-    fn flat_comm_model(&self, link: crate::hardware::LinkSpec) -> Box<dyn CommModel> {
-        let volume = self.param_volume();
-        let bandwidth = link.bandwidth;
-        let base: Box<dyn CommModel> = match self.comm {
-            GdComm::TwoStageTree => Box::new(TwoStageTreeExchange { volume, bandwidth }),
-            GdComm::Spark => Box::new(SparkGradientExchange { volume, bandwidth }),
-            GdComm::LinearFlat => Box::new(crate::comm::Scaled {
-                inner: Linear { volume, bandwidth },
-                factor: 2.0,
-            }),
-            GdComm::Ring => Box::new(RingAllReduce { volume, bandwidth }),
-            GdComm::HalvingDoubling => Box::new(HalvingDoubling { volume, bandwidth }),
-            // lint: allow(panic-free-lib): comm_model() intercepts Hierarchical before this constructor can see it
-            GdComm::Hierarchical => unreachable!("handled by comm_model"),
-            GdComm::None => Box::new(NoComm),
-        };
-        if link.latency.is_zero() {
-            base
-        } else {
-            Box::new(AlphaBeta {
-                inner: base,
-                latency: link.latency,
-            })
-        }
-    }
-
-    /// Communication time `t_cm(n)`.
+    /// Communication time `t_cm(n)` of the configured collective.
     pub fn comm_time(&self, n: usize) -> Seconds {
-        self.comm_model().time(n)
+        self.comm.time(self.param_volume(), &self.cluster, n)
     }
 
     /// Strong-scaling computation time: the fixed batch `S` is split across

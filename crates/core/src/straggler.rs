@@ -163,8 +163,8 @@ fn harmonic(j: usize) -> f64 {
     h.value()
 }
 
-/// Term count above which [`harmonic_any`] switches from the summed
-/// [`harmonic`] to the asymptotic expansion — the exponential tail's
+/// Term count above which `harmonic_any` switches from the summed
+/// `harmonic` to the asymptotic expansion — the exponential tail's
 /// extreme-value crossover. At the crossover the expansion's truncation
 /// error is ~`1/(120·j⁴)` ≈ 1e-19 **relative to `H_j ≈ 9.8`**, far
 /// below the summed form's own accumulated rounding, so the two regimes
@@ -438,7 +438,7 @@ const LOGNORMAL_COEFF_LOOP_MAX_N: usize = 512;
 
 /// Worker count above which log-normal order statistics leave the
 /// shared `z ∈ [−9, 10+σ]` grid for the extreme-value windowed
-/// quadrature ([`lognormal_order_stat_asymptotic`]). At the crossover
+/// quadrature (`lognormal_order_stat_asymptotic`). At the crossover
 /// both regimes integrate the same density — the property suite bounds
 /// their relative disagreement below 1e-3 (measured: ≲1e-6) — and the
 /// asymptotic side is O(1) in `n` where the fixed grid's resolution
@@ -679,7 +679,7 @@ impl StragglerModel {
     /// [`Self::expected_order_stat`] with the asymptotic crossover
     /// disabled: the summed-harmonic / shared-grid exact path at *any*
     /// `n` (the grid coefficient still moves to log-space past
-    /// [`LOGNORMAL_COEFF_LOOP_MAX_N`] — overflow is a bug, not a
+    /// `LOGNORMAL_COEFF_LOOP_MAX_N` — overflow is a bug, not a
     /// regime). This is the reference the property suite measures the
     /// asymptotic regime against, up to n = 10⁵; it is O(n)
     /// for exponential tails and pays the full fixed-grid quadrature for
@@ -733,7 +733,7 @@ impl StragglerModel {
     /// else the list holds. Past it the tailed distributions switch to
     /// their extreme-value forms — the Euler–Maclaurin harmonic expansion
     /// for exponential tails, the Gumbel-normed windowed quadrature
-    /// ([`lognormal_order_stat_asymptotic`]) for log-normal ones — O(1) in
+    /// (`lognormal_order_stat_asymptotic`) for log-normal ones — O(1) in
     /// `n` where the exact forms are O(n) or lose the peak. At the
     /// crossover the two regimes agree within 1e-3 relative
     /// (property-tested, measured far tighter). Every entry equals a batch
@@ -1060,7 +1060,7 @@ impl OrderStatCache {
 
     /// [`StragglerModel::expected_barrier`] with the homogeneous
     /// order-statistic term served from the memo: the bases collapse into
-    /// `(base, count)` runs of equal neighbours, then [`Self::barrier`].
+    /// `(base, count)` runs of equal neighbours, then `Self::barrier`.
     pub fn expected_barrier(&self, bases: &[f64], drop_k: usize) -> Seconds {
         self.barrier(&merged_runs(bases.iter().map(|&b| (b, 1))), drop_k)
     }

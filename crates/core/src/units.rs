@@ -2,7 +2,7 @@
 //!
 //! All models in this crate operate on wall-clock time ([`Seconds`]),
 //! computation volume ([`FlopCount`]), computation rate ([`FlopsRate`]),
-//! message volume ([`Bits`] / [`Bytes`]) and network rate ([`BitsPerSec`]).
+//! message volume ([`Bits`]) and network rate ([`BitsPerSec`]).
 //! Keeping these as newtypes (rather than bare `f64`s) prevents the classic
 //! "seconds where you meant gigaflops" class of bug in cost formulas, while
 //! the arithmetic impls below keep the formulas as readable as the paper's:

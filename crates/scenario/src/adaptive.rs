@@ -16,7 +16,7 @@
 //! full grid along each axis.
 //!
 //! Every point is evaluated by exactly the engine the exhaustive path
-//! uses ([`eval_points`](crate::run::eval_points)), so an adaptive
+//! uses (`run::eval_points`), so an adaptive
 //! sweep's per-point results are bit-identical to the same points of an
 //! exhaustive sweep — the property tests compare the two frontiers'
 //! (cost, time) values on whole small grids. No randomness anywhere:
@@ -50,8 +50,8 @@ pub struct FrontierPoint {
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptiveSweep {
     /// The evaluated subset as a normal sweep outcome (points in grid
-    /// order, roll-up over the evaluated subset) — [`write_outcome`]
-    /// (crate::write_outcome) accepts it unchanged.
+    /// order, roll-up over the evaluated subset) —
+    /// [`write_outcome`](crate::write_outcome) accepts it unchanged.
     pub outcome: crate::run::SweepOutcome,
     /// Full grid size (of which only `outcome.points.len()` were
     /// evaluated).

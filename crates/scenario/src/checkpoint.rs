@@ -103,7 +103,7 @@ pub fn run_checkpointed(
 /// [`CheckpointedSweep`] there is no full [`SweepOutcome`]: the whole
 /// point of the sharded store is that 10⁶ results never sit in memory at
 /// once — per-point data lives in the shard files, and only the roll-up
-/// (built from streaming [`PointSummary`] extracts, byte-identical to
+/// (built from streaming `PointSummary` extracts, byte-identical to
 /// the per-point path's) is returned.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedSweep {

@@ -1186,7 +1186,7 @@ impl GdSpec {
                     ),
                 ));
             }
-            if comm == "hier" && !self.has_racks() {
+            if comm == "hier" && self.rack_nodes().is_none() {
                 return Err(SpecError::new(
                     at("comm"),
                     "hier needs a rack topology: set rack_size or use preset \"pod\"",
@@ -1232,18 +1232,40 @@ impl GdSpec {
                  straggler/hetero field (a zero-valued one from a sweep axis is fine) or drop it",
             ));
         }
-        if matches!(self.hetero, Some(HeteroSpec::Rack { .. })) && !self.has_racks() {
-            return Err(SpecError::new(
-                at("hetero"),
-                "rack heterogeneity needs a rack topology: set rack_size or use preset \"pod\"",
-            ));
+        if let Some(HeteroSpec::Rack { factor }) = self.hetero {
+            let Some(per_rack) = self.rack_nodes() else {
+                return Err(SpecError::new(
+                    at("hetero"),
+                    "rack heterogeneity needs a rack topology: set rack_size or use preset \"pod\"",
+                ));
+            };
+            // Rack r runs at factor^r; the farthest rack at max_n must
+            // keep a usable speed, or the model has no defined runtime.
+            let racks = self.max_n.div_ceil(per_rack);
+            let farthest = factor.powi(i32::try_from(racks - 1).unwrap_or(i32::MAX));
+            if !(farthest > 0.0 && farthest.is_finite()) {
+                return Err(SpecError::new(
+                    at("hetero.factor"),
+                    format!(
+                        "the last of {racks} racks at max_n {} runs at {factor}^{} = \
+                         {farthest}, which is not a usable speed; use a factor closer to 1 or \
+                         a smaller max_n",
+                        self.max_n,
+                        racks - 1
+                    ),
+                ));
+            }
         }
         Ok(())
     }
 
-    /// Whether this spec describes a racked cluster.
-    fn has_racks(&self) -> bool {
-        self.rack_size.is_some() || self.preset.as_deref() == Some("pod")
+    /// Workers per rack when this spec describes a racked cluster: its
+    /// `rack_size`, or the `pod` preset's racks.
+    fn rack_nodes(&self) -> Option<usize> {
+        match self.preset.as_deref() {
+            Some("pod") => presets::two_tier_pod().rack.map(|rack| rack.nodes_per_rack),
+            _ => self.rack_size,
+        }
     }
 
     /// Applies one sweep assignment; `path` names the grid point in errors.
@@ -1971,6 +1993,23 @@ mod tests {
             e.message.contains("backup_k") || e.path.contains("backup_k"),
             "{e}"
         );
+    }
+
+    #[test]
+    fn rack_decay_past_the_float_range_is_refused_at_its_grid_point() {
+        // Racks of 64 at max_n 10⁵: the last rack runs at 0.8^1562, a
+        // usable speed. Racks of one worker put it at 0.8^99999, which
+        // underflows to 0 and would abort the evaluation.
+        let e = err_of(
+            r#"{"name": "t",
+                "workload": {"kind": "gd", "params": 1e6, "cost_per_example": 1e6,
+                             "batch": 10, "flops": 1e9, "max_n": 100000, "log_points": 30,
+                             "rack_size": 64, "hetero": {"kind": "rack", "factor": 0.8}},
+                "sweep": [{"param": "rack_size", "values": [64, 1]}]}"#,
+        );
+        assert!(e.path.starts_with("grid point t-p001"), "{e}");
+        assert!(e.path.ends_with(".hetero.factor"), "{e}");
+        assert!(e.message.contains("0.8^99999 = 0,"), "{e}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! On-disk result layouts for sweeps: per-point files and sharded NDJSON.
 //!
 //! A journaled sweep writes its results in **units** — one file and one
-//! journal line each — in one of two [`Layout`]s:
+//! journal line each — in one of two `Layout`s:
 //!
 //! * **per-point**: one pretty-printed `<id>.json` per grid point, as
 //!   every release has written for grids up to [`DEFAULT_PER_POINT_MAX`]
@@ -15,22 +15,22 @@
 //!
 //! Everything else is shared. [`ShardedStore`] buffers at most one unit
 //! of encoded records (enforced by the telemetry counters below) and
-//! publishes it through [`write_atomic`], the one temp-file + rename
+//! publishes it through `write_atomic`, the one temp-file + rename
 //! writer — a crash can orphan a `.tmp`, never tear a results file.
-//! [`verified_unit`] re-admits a unit on resume only if its byte length
+//! `verified_unit` re-admits a unit on resume only if its byte length
 //! matches the journal and every record re-encodes to exactly its own
 //! bytes under the grid's expected id; anything else re-evaluates the
 //! whole unit. That granularity is the price of streaming (a crash loses
 //! at most one unit of re-evaluable work) and the reason a resumed sweep
-//! is byte-identical to an uninterrupted one. [`clean_stale`] removes
+//! is byte-identical to an uninterrupted one. `clean_stale` removes
 //! either layout's leftovers, so switching a scenario between layouts
 //! never leaves the old layout's files beside the new roll-up.
 
 use mlscale_core::faultpoint;
 use mlscale_workloads::ExperimentResult;
+use std::cell::Cell;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Grids up to this many points keep the per-point-file layout (one
 /// pretty-printed `<id>.json` each, as every release so far has written);
@@ -39,35 +39,38 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// many shards cheaply.
 pub const DEFAULT_PER_POINT_MAX: usize = 2048;
 
-/// Encoded point records currently buffered (process-wide, across all
-/// stores). The streaming property test reads the peak: a sweep through
-/// this store must never hold more than one shard of records, no matter
-/// how large the grid.
-static LIVE_BUFFERED: AtomicUsize = AtomicUsize::new(0);
-static PEAK_BUFFERED: AtomicUsize = AtomicUsize::new(0);
-
-/// Resets the buffered-record telemetry (call before the measured sweep).
-pub fn reset_buffer_telemetry() {
-    LIVE_BUFFERED.store(0, Ordering::SeqCst);
-    PEAK_BUFFERED.store(0, Ordering::SeqCst);
+thread_local! {
+    /// Encoded point records currently buffered by this thread's stores,
+    /// and their high-water mark since the last reset. A sweep buffers on
+    /// the thread that runs it, so the count is per thread: concurrent
+    /// sweeps (and concurrently running tests) never see one another's
+    /// records. The streaming property test reads the peak: a sweep
+    /// through this store must never hold more than one shard of records,
+    /// no matter how large the grid.
+    static BUFFERED: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
 }
 
-/// The high-water mark of buffered records since the last
+/// Resets this thread's buffered-record telemetry (call before the
+/// measured sweep).
+pub fn reset_buffer_telemetry() {
+    BUFFERED.set((0, 0));
+}
+
+/// The high-water mark of records buffered on this thread since the last
 /// [`reset_buffer_telemetry`].
 pub fn peak_buffered_records() -> usize {
-    PEAK_BUFFERED.load(Ordering::SeqCst)
+    BUFFERED.get().1
 }
 
 fn note_buffered() {
-    let live = LIVE_BUFFERED.fetch_add(1, Ordering::SeqCst) + 1;
-    PEAK_BUFFERED.fetch_max(live, Ordering::SeqCst);
+    let (live, peak) = BUFFERED.get();
+    BUFFERED.set((live + 1, peak.max(live + 1)));
 }
 
 fn note_flushed(n: usize) {
     // Saturating: a reset mid-sweep must not wrap the live counter.
-    let _ = LIVE_BUFFERED.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |live| {
-        Some(live.saturating_sub(n))
-    });
+    let (live, peak) = BUFFERED.get();
+    BUFFERED.set((live.saturating_sub(n), peak));
 }
 
 /// How a journaled sweep lays its results out. How many grid points one

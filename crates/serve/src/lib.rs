@@ -22,7 +22,7 @@
 //! `{"error": {"path": "workload.latancy", "message": "unknown field…"}}`.
 //!
 //! Two caches are shared process-wide: an
-//! [`OrderStatCachePool`](mlscale_core::straggler::OrderStatCachePool)
+//! [`mlscale_core::straggler::OrderStatCachePool`]
 //! (straggler order-statistic quadratures, reused across requests that
 //! share a delay model) and a rendered-response LRU ([`lru::ResponseLru`])
 //! keyed on `(endpoint, body)`, so a hot preset is answered without

@@ -210,7 +210,7 @@ pub fn ring_all_reduce(cluster: &mut SimCluster, bits: f64, ready: &[Seconds]) -
 /// halving distances, then all-gather by the reverse schedule. Extra
 /// workers beyond the largest power of two fold their vectors into
 /// partners first and receive the result last — the discrete-event twin of
-/// `mlscale_core::comm::HalvingDoubling`.
+/// `mlscale_core::comm::GdComm::HalvingDoubling`.
 pub fn halving_doubling_all_reduce(
     cluster: &mut SimCluster,
     bits: f64,
@@ -274,7 +274,7 @@ pub fn halving_doubling_all_reduce(
 /// the intra-rack links, ring all-reduce of `bits/r` chunks among the `r`
 /// leaders on the uplinks, binomial-tree broadcast back down. Each phase
 /// starts at a barrier, matching the analytic
-/// `mlscale_core::comm::Hierarchical` composite. Flat clusters (no rack
+/// `mlscale_core::comm::GdComm::Hierarchical` formula. Flat clusters (no rack
 /// topology) run as one rack: tree reduce + broadcast, no ring.
 pub fn hierarchical_all_reduce(cluster: &mut SimCluster, bits: f64, ready: &[Seconds]) -> Seconds {
     let n = cluster.workers();

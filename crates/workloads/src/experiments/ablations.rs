@@ -5,7 +5,6 @@
 //! overhead (Schreiber's argument).
 
 use crate::report::{ExperimentResult, Series};
-use mlscale_core::comp::{AmdahlFraction, CompModel};
 use mlscale_core::models::gd::{GdComm, GradientDescentModel};
 use mlscale_core::units::{FlopCount, FlopsRate};
 use mlscale_graph::csr::CsrGraph;
@@ -235,11 +234,15 @@ pub fn amdahl(max_n: usize) -> ExperimentResult {
     let work = FlopCount::giga(100.0);
     let rate = FlopsRate::giga(1.0);
     let serial = 0.05;
-    let fixed = AmdahlFraction::new(work, rate, serial);
     let ns: Vec<usize> = (1..=max_n).filter(|n| n.is_power_of_two()).collect();
+    // Amdahl's law: t(n) = t(1)·(serial + (1−serial)/n).
+    let fixed_time = |n: usize| {
+        let t1 = (work / rate).as_secs();
+        t1 * (serial + (1.0 - serial) / n as f64)
+    };
     let fixed_series: Vec<(usize, f64)> = ns
         .iter()
-        .map(|&n| (n, fixed.time(1).as_secs() / fixed.time(n).as_secs()))
+        .map(|&n| (n, fixed_time(1) / fixed_time(n)))
         .collect();
     // Declining overhead: the serial piece shrinks as serial/√n.
     let declining_time = |n: usize| {

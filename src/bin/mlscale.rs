@@ -27,7 +27,7 @@
 
 #![forbid(unsafe_code)]
 
-use mlscale::model::planner::{Planner, Pricing};
+use mlscale::model::planner::Pricing;
 use mlscale::model::speedup::log_spaced_ns;
 use mlscale::model::units::Seconds;
 use mlscale::scenario::{
@@ -342,24 +342,17 @@ fn cmd_gd(flags: &HashMap<String, String>) {
         .and_then(|()| gd.build())
         .unwrap_or_else(|e| die_spec(e, flags));
     let (ns, range) = sweep_ns(gd.max_n, gd.log_points);
-    let curve = match (stochastic(flags), gd.weak) {
-        (true, true) => {
-            println!("expected weak scaling under stragglers (per-instance time), {range}:\n");
-            model.weak_curve(ns)
-        }
-        (true, false) => {
-            println!("expected strong scaling under stragglers (per-iteration time), {range}:\n");
-            model.strong_curve(ns)
-        }
-        (false, true) => {
-            println!("weak scaling (per-instance time), {range}:\n");
-            model.inner.weak_curve(ns)
-        }
-        (false, false) => {
-            println!("strong scaling (per-iteration time), {range}:\n");
-            model.inner.strong_curve(ns)
-        }
+    let (expected, under) = if stochastic(flags) {
+        ("expected ", " under stragglers")
+    } else {
+        ("", "")
     };
+    let (scaling, per, curve) = if gd.weak {
+        ("weak", "per-instance", model.weak_curve(ns))
+    } else {
+        ("strong", "per-iteration", model.strong_curve(ns))
+    };
+    println!("{expected}{scaling} scaling{under} ({per} time), {range}:\n");
     println!("{}", curve.to_table());
     let (n_opt, s_opt) = curve.optimal();
     println!("optimal workers: {n_opt} (speedup {s_opt:.2}x)");
@@ -439,23 +432,17 @@ fn cmd_plan(flags: &HashMap<String, String>) {
         .validate("workload")
         .and_then(|()| gd.build())
         .unwrap_or_else(|e| die_spec(e, flags));
-    let stochastic = stochastic(flags);
-    if stochastic {
+    if stochastic(flags) {
         println!("planning over *expected* times under the straggler scenario");
     }
     // The sweep is evaluated once into the planner's cached table (all
-    // four query verbs reuse it) and fans out across threads; the
-    // straggler path additionally shares one order-statistic grid pass
+    // four query verbs reuse it), sharing one order-statistic grid pass
     // across the whole sweep. With --log-points the table is a log-spaced
     // ladder refined around each optimum instead of a dense 1..=max_n scan.
     let pricing = Pricing::hourly(plan.price);
-    let inner = model.inner;
-    let time = move |n| inner.strong_iteration_time(n) * plan.iterations;
-    let planner = match (stochastic, gd.log_points) {
-        (true, Some(p)) => model.planner_log(plan.iterations, gd.max_n, pricing, p),
-        (true, None) => model.planner(plan.iterations, gd.max_n, pricing),
-        (false, Some(p)) => Planner::new_log(time, gd.max_n, pricing, p),
-        (false, None) => Planner::new_par(time, gd.max_n, pricing),
+    let planner = match gd.log_points {
+        Some(p) => model.planner_log(plan.iterations, gd.max_n, pricing, p),
+        None => model.planner(plan.iterations, gd.max_n, pricing),
     };
     let fastest = planner.fastest();
     let cheapest = planner.cheapest();

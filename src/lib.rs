@@ -12,10 +12,10 @@
 //! This facade crate re-exports the workspace members under stable module
 //! names:
 //!
-//! * [`model`] (`mlscale-core`) — BSP supersteps, communication/computation
-//!   time-complexity models, speedup analysis, strong & weak scaling,
-//!   MAPE validation metrics, and the gradient-descent / graph-inference
-//!   instantiations;
+//! * [`model`] (`mlscale-core`) — the gradient-descent / graph-inference
+//!   models, which compute the BSP time `t_cp + t_cm` directly, with
+//!   `comm` pricing the collectives; speedup analysis, strong & weak
+//!   scaling, and MAPE validation metrics;
 //! * [`nn`] (`mlscale-nn`) — layer cost algebra, the Table I model zoo
 //!   (MNIST FC, Inception v3), and a runnable mini-MLP trainer;
 //! * [`graph`] (`mlscale-graph`) — CSR graphs, power-law generators
@@ -62,3 +62,8 @@ pub use mlscale_scenario as scenario;
 pub use mlscale_serve as serve;
 pub use mlscale_sim as sim;
 pub use mlscale_workloads as workloads;
+
+/// The Rust examples in `README.md`, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

@@ -427,6 +427,45 @@ fn invalid_hetero_specs_fail_loudly() {
 }
 
 #[test]
+fn rack_decay_past_the_float_range_is_refused_before_printing() {
+    // 6,250 racks of 16: the last rack's speed 0.8^6249 underflows to 0
+    // and 1.5^6249 overflows to inf, so neither cluster has a runtime.
+    for hetero in ["rack:0.8", "rack:1.5"] {
+        let out = mlscale(&[
+            "gd",
+            "--preset",
+            "pod",
+            "--max-n",
+            "100000",
+            "--log-points",
+            "30",
+            "--straggler",
+            "lognormal:-2:0.8",
+            "--hetero",
+            hetero,
+        ]);
+        assert_eq!(out.status.code(), Some(2), "{hetero}: {}", stderr_of(&out));
+        assert!(
+            out.stdout.is_empty(),
+            "{hetero}: printed before refusing:\n{}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+        let err = stderr_of(&out);
+        assert!(
+            err.contains("--hetero") && err.contains("--max-n"),
+            "got: {err}"
+        );
+    }
+    assert_rejected(
+        "rack-decay-underflow",
+        r#"{"name": "t", "workload": {"kind": "gd", "preset": "pod", "max_n": 100000,
+            "log_points": 30, "straggler": {"kind": "lognormal", "mu": -2, "sigma": 0.8},
+            "hetero": {"kind": "rack", "factor": 0.8}}}"#,
+        "workload.hetero.factor",
+    );
+}
+
+#[test]
 fn preset_model_flag_conflict_still_fires_with_straggler_flags() {
     let out = mlscale(&[
         "gd",

@@ -3,7 +3,6 @@
 //! same schedules. These tests pin the relationship between `mlscale-core`
 //! (formulas) and `mlscale-sim` (event-level execution).
 
-use mlscale::model::comm::{AlphaBeta, CommModel, HalvingDoubling, Hierarchical, RingAllReduce};
 use mlscale::model::hardware::{presets, ClusterSpec, Heterogeneity, LinkSpec, NodeSpec, RackSpec};
 use mlscale::model::metrics::Comparison;
 use mlscale::model::models::asyncgd::AsyncGdModel;
@@ -193,15 +192,8 @@ fn ring_alpha_beta_model_matches_simulator_twin() {
     // and the chunked ring schedule agree within 5 % for every n.
     let cluster = alpha_beta_cluster();
     let volume = 3e8;
-    let model = AlphaBeta {
-        inner: RingAllReduce {
-            volume: Bits::new(volume),
-            bandwidth: cluster.link.bandwidth,
-        },
-        latency: cluster.link.latency,
-    };
     assert_sim_tracks_model_over(2..=64, "ring α–β", |n| {
-        let analytic = model.time(n).as_secs();
+        let analytic = GdComm::Ring.time(Bits::new(volume), &cluster, n).as_secs();
         let simulated = comm_only_sim(cluster, n, CommPhase::RingAllReduce { bits: volume });
         (analytic, simulated)
     });
@@ -211,15 +203,10 @@ fn ring_alpha_beta_model_matches_simulator_twin() {
 fn halving_doubling_model_matches_simulator_twin() {
     let cluster = alpha_beta_cluster();
     let volume = 3e8;
-    let model = AlphaBeta {
-        inner: HalvingDoubling {
-            volume: Bits::new(volume),
-            bandwidth: cluster.link.bandwidth,
-        },
-        latency: cluster.link.latency,
-    };
     assert_sim_tracks_model_over(2..=64, "halving/doubling α–β", |n| {
-        let analytic = model.time(n).as_secs();
+        let analytic = GdComm::HalvingDoubling
+            .time(Bits::new(volume), &cluster, n)
+            .as_secs();
         let simulated = comm_only_sim(cluster, n, CommPhase::HalvingDoubling { bits: volume });
         (analytic, simulated)
     });
@@ -239,9 +226,10 @@ fn hierarchical_model_matches_simulator_twin() {
         LinkSpec::new(BitsPerSec::giga(1.0), Seconds::from_micros(50.0)),
     ));
     let volume = 3e8;
-    let model = Hierarchical::from_cluster(Bits::new(volume), &cluster);
     assert_sim_tracks_model_over(2..=64, "hierarchical", |n| {
-        let analytic = model.time(n).as_secs();
+        let analytic = GdComm::Hierarchical
+            .time(Bits::new(volume), &cluster, n)
+            .as_secs();
         let simulated = comm_only_sim(cluster, n, CommPhase::Hierarchical { bits: volume });
         (analytic, simulated)
     });
@@ -250,8 +238,8 @@ fn hierarchical_model_matches_simulator_twin() {
 #[test]
 fn flat_collectives_on_racked_cluster_use_the_uplink_tier() {
     // A flat (topology-blind) collective on a racked cluster must not be
-    // priced as if every hop were intra-rack. The RackTiered model charges
-    // the uplink tier once the job spans racks: exact for the ring (its
+    // priced as if every hop were intra-rack. `GdComm::time` charges the
+    // uplink tier once the job spans racks: exact for the ring (its
     // pipeline is gated by the slowest link on the cycle), a conservative
     // upper bound for tree-shaped schedules.
     let pod = presets::two_tier_pod(); // racks of 16

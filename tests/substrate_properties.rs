@@ -129,27 +129,34 @@ proptest! {
     }
 }
 
-/// Exact partitions feed the model: the MaxLoad computation model over
-/// measured per-worker loads equals max(load)/F by construction.
+/// Exact partitions feed the model: the graph-inference max-load path
+/// (`EdgeLoad::PerWorkerMax`, what `mlscale bp` and Fig 4 run) over
+/// measured per-worker loads equals max(load)·c/F by construction.
 #[test]
 fn exact_loads_round_trip_through_model() {
-    use mlscale::model::comp::{CompModel, MaxLoad};
-    use mlscale::model::units::{FlopCount, FlopsRate};
+    use mlscale::model::models::graphinf::{EdgeLoad, GraphInferenceModel};
+    use mlscale::model::units::{BitsPerSec, FlopCount, FlopsRate};
     let mut rng = StdRng::seed_from_u64(77);
     let g = gnm(500, 2500, &mut rng);
-    let loads: Vec<FlopCount> = (1..=8)
+    let loads: Vec<f64> = (1..=8)
         .map(|n| {
             let p = Partition::random(500, n, &mut rng);
             let s = PartitionStats::compute(&g, &p);
-            FlopCount::new(s.max_incident_edges() as f64 * 14.0)
+            s.max_incident_edges() as f64
         })
         .collect();
-    let model = MaxLoad {
-        max_load_per_n: loads.clone(),
-        rate: FlopsRate::giga(1.0),
+    let model = GraphInferenceModel {
+        vertices: 500.0,
+        edges: 2500.0,
+        states: 2,
+        cost_per_edge: FlopCount::new(14.0),
+        flops: FlopsRate::giga(1.0),
+        bandwidth: BitsPerSec::new(f64::INFINITY),
+        replication: 0.0,
+        edge_load: EdgeLoad::PerWorkerMax(loads.clone()),
     };
     for n in 1..=8usize {
-        let expected = loads[n - 1].get() / 1e9;
-        assert!((model.time(n).as_secs() - expected).abs() < 1e-12);
+        let expected = loads[n - 1] * 14.0 / 1e9;
+        assert!((model.comp_time(n).as_secs() - expected).abs() < 1e-12);
     }
 }
