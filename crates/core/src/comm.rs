@@ -185,7 +185,7 @@ fn halving_split(n: usize) -> (usize, usize) {
 /// cluster is one rack holding every worker.
 fn rack_layout(cluster: &ClusterSpec, n: usize) -> (usize, usize) {
     let rack_size = cluster.rack.map_or(usize::MAX, |rack| rack.nodes_per_rack);
-    (rack_size.min(n), n.div_ceil(rack_size).max(1))
+    (rack_size.min(n), cluster.racks_for(n))
 }
 
 /// Binomial-tree rounds to reduce (or broadcast among) `m` rack members

@@ -198,15 +198,6 @@ pub enum Heterogeneity {
 }
 
 impl Heterogeneity {
-    /// True when every worker runs at nominal speed.
-    pub fn is_uniform(&self) -> bool {
-        match *self {
-            Heterogeneity::Uniform => true,
-            Heterogeneity::SlowWorkers { count, factor } => count == 0 || factor == 1.0,
-            Heterogeneity::RackDecay { factor } => factor == 1.0,
-        }
-    }
-
     /// Per-worker speed multipliers for `n` workers of `cluster` as
     /// `(factor, count)` runs in worker order, equal neighbours merged:
     /// `count` consecutive workers run at `factor`× nominal speed. This is
@@ -283,12 +274,6 @@ pub mod presets {
     /// `0.8 · 105.6 · 10⁹` flop/s — the `F` of the Fig 2 experiment.
     pub fn xeon_e3_1240_double() -> NodeSpec {
         NodeSpec::new(FlopsRate::giga(105.6), 0.8)
-    }
-
-    /// Intel Xeon E3-1240 in single precision (full 211.2 GFLOPS peak at
-    /// 80 % efficiency).
-    pub fn xeon_e3_1240_single() -> NodeSpec {
-        NodeSpec::new(FlopsRate::giga(211.2), 0.8)
     }
 
     /// nVidia K40 GPU: 4.28 TFLOPS peak, of which the paper assumes at most
@@ -445,7 +430,6 @@ mod tests {
     #[test]
     fn uniform_heterogeneity_is_all_ones() {
         let c = spark_cluster();
-        assert!(Heterogeneity::Uniform.is_uniform());
         assert_eq!(Heterogeneity::Uniform.speed_factors(&c, 4), vec![1.0; 4]);
         assert_eq!(Heterogeneity::Uniform.speed_runs(&c, 4), vec![(1.0, 4)]);
         for n in [0, 1, 4, 1_000] {
@@ -460,21 +444,15 @@ mod tests {
             count: 2,
             factor: 0.5,
         };
-        assert!(!h.is_uniform());
+        assert_ne!(h.speed_runs(&c, 4), vec![(1.0, 4)]);
         assert_eq!(h.speed_factors(&c, 4), vec![0.5, 0.5, 1.0, 1.0]);
         // Count clamps to n.
         assert_eq!(h.speed_factors(&c, 1), vec![0.5]);
         // Degenerate parameters are uniform.
-        assert!(Heterogeneity::SlowWorkers {
-            count: 0,
-            factor: 0.5
+        for (count, factor) in [(0, 0.5), (3, 1.0)] {
+            let h = Heterogeneity::SlowWorkers { count, factor };
+            assert_eq!(h.speed_runs(&c, 4), vec![(1.0, 4)]);
         }
-        .is_uniform());
-        assert!(Heterogeneity::SlowWorkers {
-            count: 3,
-            factor: 1.0
-        }
-        .is_uniform());
         for (count, factor) in [(2, 0.5), (0, 0.5), (3, 1.0), (4, 2.0), (9, 0.5)] {
             for n in 0..=6 {
                 assert_runs_expand(Heterogeneity::SlowWorkers { count, factor }, &c, n);

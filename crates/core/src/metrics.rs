@@ -1,4 +1,4 @@
-//! Model-validation metrics: MAPE, MPE, RMSE and comparison reports.
+//! Model-validation metrics: MAPE and comparison reports.
 //!
 //! The paper reports model accuracy as the mean absolute percentage error
 //! (MAPE) between model estimates and measurements: 13.7 % for the Spark
@@ -15,7 +15,12 @@ use serde::{Deserialize, Serialize};
 /// Panics on empty or mismatched inputs, or when any reference value is
 /// zero (the percentage error is undefined there).
 pub fn mape(predicted: &[f64], reference: &[f64]) -> f64 {
-    validate_pairs(predicted, reference);
+    assert!(!predicted.is_empty(), "need at least one point");
+    assert_eq!(
+        predicted.len(),
+        reference.len(),
+        "prediction/reference length mismatch"
+    );
     let sum: f64 = predicted
         .iter()
         .zip(reference)
@@ -25,63 +30,6 @@ pub fn mape(predicted: &[f64], reference: &[f64]) -> f64 {
         })
         .sum();
     100.0 * sum / predicted.len() as f64
-}
-
-/// Mean percentage error (signed): positive when the model over-predicts on
-/// average.
-///
-/// # Panics
-/// Same conditions as [`mape`].
-pub fn mpe(predicted: &[f64], reference: &[f64]) -> f64 {
-    validate_pairs(predicted, reference);
-    let sum: f64 = predicted
-        .iter()
-        .zip(reference)
-        .map(|(&p, &r)| {
-            assert!(r != 0.0, "MPE undefined for zero reference value");
-            (p - r) / r
-        })
-        .sum();
-    100.0 * sum / predicted.len() as f64
-}
-
-/// Root-mean-square error in the quantities' own unit.
-///
-/// # Panics
-/// Panics on empty or mismatched inputs.
-pub fn rmse(predicted: &[f64], reference: &[f64]) -> f64 {
-    validate_pairs(predicted, reference);
-    let sum: f64 = predicted
-        .iter()
-        .zip(reference)
-        .map(|(&p, &r)| (p - r) * (p - r))
-        .sum();
-    (sum / predicted.len() as f64).sqrt()
-}
-
-/// Maximum absolute percentage error across points.
-///
-/// # Panics
-/// Same conditions as [`mape`].
-pub fn max_ape(predicted: &[f64], reference: &[f64]) -> f64 {
-    validate_pairs(predicted, reference);
-    predicted
-        .iter()
-        .zip(reference)
-        .map(|(&p, &r)| {
-            assert!(r != 0.0, "APE undefined for zero reference value");
-            100.0 * ((p - r) / r).abs()
-        })
-        .fold(0.0, f64::max)
-}
-
-fn validate_pairs(predicted: &[f64], reference: &[f64]) {
-    assert!(!predicted.is_empty(), "need at least one point");
-    assert_eq!(
-        predicted.len(),
-        reference.len(),
-        "prediction/reference length mismatch"
-    );
 }
 
 /// A point-by-point model-vs-measurement comparison over worker counts,
@@ -141,21 +89,6 @@ impl Comparison {
         mape(&self.predicted, &self.reference)
     }
 
-    /// Signed MPE of the comparison.
-    pub fn mpe(&self) -> f64 {
-        mpe(&self.predicted, &self.reference)
-    }
-
-    /// RMSE of the comparison.
-    pub fn rmse(&self) -> f64 {
-        rmse(&self.predicted, &self.reference)
-    }
-
-    /// Worst-point absolute percentage error.
-    pub fn max_ape(&self) -> f64 {
-        max_ape(&self.predicted, &self.reference)
-    }
-
     /// Paper-style table: one row per worker count plus a MAPE footer.
     pub fn to_table(&self) -> String {
         use std::fmt::Write as _;
@@ -195,27 +128,6 @@ mod tests {
         let over = mape(&[1.1], &[1.0]);
         let under = mape(&[0.9], &[1.0]);
         assert!((over - under).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mpe_signed() {
-        assert!(mpe(&[1.1], &[1.0]) > 0.0);
-        assert!(mpe(&[0.9], &[1.0]) < 0.0);
-        // +10% and −10% cancel.
-        assert!(mpe(&[1.1, 0.9], &[1.0, 1.0]).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rmse_hand_computed() {
-        // errors 3 and 4 → rmse = sqrt((9+16)/2) = sqrt(12.5).
-        let r = rmse(&[3.0, 0.0], &[0.0, 4.0]);
-        assert!((r - 12.5f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn max_ape_picks_worst_point() {
-        let m = max_ape(&[1.1, 2.4], &[1.0, 2.0]);
-        assert!((m - 20.0).abs() < 1e-9);
     }
 
     #[test]

@@ -39,6 +39,16 @@ pub fn bp_cost_per_edge(states: usize) -> FlopCount {
     FlopCount::new(s + 2.0 * (s + s * s))
 }
 
+/// Per-edge computation cost of one Gibbs sampling sweep with `S` states,
+/// in the same convention as [`bp_cost_per_edge`]: each directed edge
+/// contributes `S` multiply-adds into the conditional of its endpoint, so
+/// `c_Gibbs(S) = 2·S` per undirected edge. The `O(V·S)`
+/// normalisation/sampling term is not per-edge and is left out.
+#[inline]
+pub fn gibbs_cost_per_edge(states: usize) -> FlopCount {
+    FlopCount::new(2.0 * states as f64)
+}
+
 /// The paper's duplicate-edge correction for the random-assignment
 /// estimator: expected number of double-counted (intra-worker) edges on one
 /// worker holding `V/n` vertices.
@@ -87,35 +97,6 @@ pub fn max_edges_monte_carlo<R: Rng + ?Sized>(
         .map(|_| max_edges_random_assignment(degrees, n, rng))
         .sum();
     sum / trials as f64
-}
-
-/// Closed-form approximation of the random-assignment estimator, avoiding
-/// the Monte-Carlo trials entirely: under i.i.d. vertex placement a
-/// worker's degree sum has mean `μ = 2E/n` and variance
-/// `σ² = (1/n)(1 − 1/n)·Σ_v d_v²`; the expected maximum of `n` such sums
-/// is approximated by the Gumbel-style bound `μ + σ·√(2·ln n)`. For
-/// hub-dominated graphs the normal approximation under-counts, so the
-/// estimate is floored by the hub bound `d_max + (2E − d_max)/n` (the hub
-/// lands somewhere, and its worker also receives an average share of the
-/// rest). The duplicate correction `E_dup` is subtracted as in the
-/// Monte-Carlo version.
-pub fn max_edges_analytic(degrees: &[u32], n: usize) -> f64 {
-    assert!(n >= 1, "need at least one worker");
-    assert!(!degrees.is_empty(), "need a degree sequence");
-    let two_e: f64 = degrees.iter().map(|&d| f64::from(d)).sum();
-    let e = two_e / 2.0;
-    if n == 1 {
-        return e;
-    }
-    let v = degrees.len() as f64;
-    let mean = two_e / n as f64;
-    let sum_sq: f64 = degrees.iter().map(|&d| f64::from(d) * f64::from(d)).sum();
-    let variance = (1.0 / n as f64) * (1.0 - 1.0 / n as f64) * sum_sq;
-    let gumbel = mean + variance.sqrt() * (2.0 * (n as f64).ln()).sqrt();
-    let d_max = degrees.iter().copied().max().unwrap_or(0) as f64;
-    let hub_bound = d_max + (two_e - d_max) / n as f64;
-    let raw = gumbel.max(hub_bound);
-    (raw - duplicate_edge_correction(v, e, n)).max(0.0)
 }
 
 /// How `max_i(E_i)` is obtained for each worker count.
@@ -232,6 +213,18 @@ mod tests {
     }
 
     #[test]
+    fn cost_model_cheaper_per_edge_than_bp() {
+        for s in [2usize, 4, 8] {
+            let gibbs = gibbs_cost_per_edge(s).get();
+            let bp = bp_cost_per_edge(s).get();
+            assert!(
+                gibbs < bp,
+                "Gibbs lacks the S² marginalisation: {gibbs} vs {bp}"
+            );
+        }
+    }
+
+    #[test]
     fn duplicate_correction_matches_formula() {
         let (v, e, n) = (1000.0, 5000.0, 10usize);
         let per = v / n as f64;
@@ -285,52 +278,6 @@ mod tests {
             "hub must create skew: {est} vs {}",
             e / n as f64
         );
-    }
-
-    #[test]
-    fn analytic_estimator_tracks_monte_carlo_on_regular_graph() {
-        let degrees = vec![10u32; 20_000];
-        let mut rng = StdRng::seed_from_u64(3);
-        for n in [2usize, 4, 8, 16, 32] {
-            let mc = max_edges_monte_carlo(&degrees, n, 10, &mut rng);
-            let analytic = max_edges_analytic(&degrees, n);
-            let rel = (analytic - mc).abs() / mc;
-            assert!(
-                rel < 0.10,
-                "n={n}: analytic {analytic:.0} vs MC {mc:.0} ({rel:.2})"
-            );
-        }
-    }
-
-    #[test]
-    fn analytic_estimator_tracks_monte_carlo_on_hub_graph() {
-        let mut degrees = vec![3u32; 30_000];
-        degrees[0] = 20_000;
-        let mut rng = StdRng::seed_from_u64(4);
-        for n in [4usize, 16, 64] {
-            let mc = max_edges_monte_carlo(&degrees, n, 10, &mut rng);
-            let analytic = max_edges_analytic(&degrees, n);
-            let rel = (analytic - mc).abs() / mc;
-            assert!(
-                rel < 0.15,
-                "n={n}: analytic {analytic:.0} vs MC {mc:.0} ({rel:.2})"
-            );
-        }
-    }
-
-    #[test]
-    fn analytic_estimator_exact_at_one_worker() {
-        let degrees = vec![4u32; 100];
-        assert_eq!(max_edges_analytic(&degrees, 1), 200.0);
-    }
-
-    #[test]
-    fn analytic_estimator_above_balanced_share() {
-        let degrees: Vec<u32> = (1..=1000).map(|i| (i % 17 + 1) as u32).collect();
-        let e: f64 = degrees.iter().map(|&d| f64::from(d)).sum::<f64>() / 2.0;
-        for n in [2usize, 8, 32] {
-            assert!(max_edges_analytic(&degrees, n) >= e / n as f64);
-        }
     }
 
     fn shared_memory_model(edge_load: EdgeLoad) -> GraphInferenceModel {

@@ -61,12 +61,6 @@ impl<F: Fn(usize) -> Seconds> WeakScaling<F> {
         Self { time_fn, max_n }
     }
 
-    /// Per-instance speedup curve (`t(n)/n` per processed unit, the Fig 3
-    /// metric) over `1..=max_n`.
-    pub fn per_instance_curve(&self) -> SpeedupCurve {
-        SpeedupCurve::from_fn(1..=self.max_n, |n| (self.time_fn)(n) / n as f64)
-    }
-
     /// Raw iteration-time curve (constant per-worker workload). Note this is
     /// *not* a speedup in the classic sense: perfect weak scaling keeps the
     /// time flat.
@@ -140,16 +134,6 @@ mod tests {
         // t(1)=16; the model's minimum is bounded below by ~0.4, so a
         // 100× reduction is unattainable.
         assert_eq!(s.nodes_for_time_reduction(1, 100.0), None);
-    }
-
-    #[test]
-    fn weak_per_instance_curve_monotone_for_log_comm() {
-        let w = WeakScaling::new(weak_time, 256);
-        let c = w.per_instance_curve();
-        let sp = c.speedups();
-        for pair in sp.windows(2) {
-            assert!(pair[1].1 > pair[0].1, "log comm ⇒ infinite weak scaling");
-        }
     }
 
     #[test]

@@ -18,9 +18,9 @@ use serde::{Deserialize, Serialize};
 /// it a dense table would cost O(max_n) memory and model calls to answer
 /// questions whose information content is O(hundreds) of points; callers
 /// must switch to the log-spaced paths ([`log_spaced_ns`],
-/// [`SpeedupCurve::from_fn_log`], `Planner::new_log`) instead, and the
-/// scenario/CLI layers reject dense requests past this limit with a
-/// named diagnostic rather than exhausting memory.
+/// `Planner::new_log`) instead, and the scenario/CLI layers reject dense
+/// requests past this limit with a named diagnostic rather than
+/// exhausting memory.
 pub const DENSE_EVAL_MAX_N: usize = 16_384;
 
 /// A geometric ladder of worker counts: `points` values spaced evenly in
@@ -100,25 +100,6 @@ impl SpeedupCurve {
             baseline,
             baseline_n,
         }
-    }
-
-    /// Evaluates `time(n)` over the geometric ladder
-    /// [`log_spaced_ns`]`(max_n, points)` — the extreme-scale form of
-    /// [`Self::from_fn`]: a `max_n = 10⁶` curve costs O(`points`) model
-    /// calls instead of a million.
-    ///
-    /// # Panics
-    /// Panics when `max_n == 0` or `points < 2`.
-    pub fn from_fn_log(
-        max_n: usize,
-        points: usize,
-        mut time: impl FnMut(usize) -> Seconds,
-    ) -> Self {
-        Self::from_samples(
-            log_spaced_ns(max_n, points)
-                .into_iter()
-                .map(|n| (n, time(n))),
-        )
     }
 
     /// Builds a curve from explicit samples (e.g. measurements).
@@ -217,14 +198,6 @@ impl SpeedupCurve {
         best
     }
 
-    /// Whether the algorithm is scalable in the paper's sense: exists `k`
-    /// with `s(k) > 1` (strictly faster than the baseline configuration).
-    pub fn is_scalable(&self) -> bool {
-        self.speedups()
-            .iter()
-            .any(|&(n, s)| n != self.baseline_n && s > 1.0)
-    }
-
     /// Largest sampled `n` whose speedup is within `fraction` of the
     /// optimum — the "knee" beyond which adding machines buys little.
     pub fn knee(&self, fraction: f64) -> usize {
@@ -236,36 +209,6 @@ impl SpeedupCurve {
             .map(|&(n, _)| n)
             .min()
             .unwrap_or(self.baseline_n)
-    }
-
-    /// First sampled `n` (scanning upward) where the speedup *drops* below
-    /// its running maximum by more than `tolerance` — where communication
-    /// overhead visibly takes over. Returns `None` if the curve never
-    /// declines.
-    pub fn decline_onset(&self, tolerance: f64) -> Option<usize> {
-        let mut running_max = f64::MIN;
-        for (n, s) in self.speedups() {
-            if s < running_max - tolerance {
-                return Some(n);
-            }
-            running_max = running_max.max(s);
-        }
-        None
-    }
-
-    /// Karp–Flatt experimentally-determined serial fraction at a sampled
-    /// point: `e(n) = (1/s(n) − 1/n) / (1 − 1/n)`. A diagnostic from the
-    /// parallel-algorithms literature the paper builds on: if `e` grows
-    /// with `n`, the bottleneck is communication/overhead rather than a
-    /// fixed serial section. Only defined for `n > baseline_n` and
-    /// absolute (baseline `n = 1`) curves.
-    pub fn karp_flatt(&self, n: usize) -> Option<f64> {
-        if self.baseline_n != 1 || n <= 1 {
-            return None;
-        }
-        let s = self.speedup_at(n)?;
-        let inv_n = 1.0 / n as f64;
-        Some((1.0 / s - inv_n) / (1.0 - inv_n))
     }
 
     /// Pretty one-line-per-point table used by the experiment binaries.
@@ -325,15 +268,9 @@ mod tests {
     }
 
     #[test]
-    fn scalable_curve_detected() {
-        assert!(sample_curve().is_scalable());
-    }
-
-    #[test]
     fn unscalable_curve_detected() {
         // Communication so expensive the time only grows.
         let c = SpeedupCurve::from_fn(1..=8, |n| Seconds::new(1.0 + n as f64));
-        assert!(!c.is_scalable());
         assert_eq!(c.optimal().0, 1);
     }
 
@@ -360,20 +297,6 @@ mod tests {
         for (_, e) in c.efficiencies() {
             assert!((e - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn decline_onset_found_after_peak() {
-        let c = sample_curve();
-        let (n_opt, _) = c.optimal();
-        let onset = c.decline_onset(1e-9).expect("curve declines");
-        assert!(onset > n_opt);
-    }
-
-    #[test]
-    fn decline_onset_none_for_monotone() {
-        let c = SpeedupCurve::from_fn(1..=16, |n| Seconds::new(1.0 / n as f64));
-        assert_eq!(c.decline_onset(1e-9), None);
     }
 
     #[test]
@@ -416,35 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn karp_flatt_recovers_serial_fraction() {
-        // Amdahl curve with serial fraction 0.1: the metric must recover
-        // 0.1 exactly at every n.
-        let serial = 0.1;
-        let c = SpeedupCurve::from_fn(1..=64, |n| Seconds::new(serial + (1.0 - serial) / n as f64));
-        for n in [2usize, 8, 32, 64] {
-            let e = c.karp_flatt(n).unwrap();
-            assert!((e - serial).abs() < 1e-12, "n={n}: {e}");
-        }
-    }
-
-    #[test]
-    fn karp_flatt_grows_when_comm_bound() {
-        // Communication-bound curve: the apparent serial fraction rises
-        // with n — the classic diagnostic signal.
-        let c = sample_curve();
-        let e8 = c.karp_flatt(8).unwrap();
-        let e32 = c.karp_flatt(32).unwrap();
-        assert!(e32 > e8, "comm-bound: {e8} -> {e32}");
-    }
-
-    #[test]
-    fn karp_flatt_undefined_off_baseline() {
-        let c = SpeedupCurve::from_fn(2..=8, |n| Seconds::new(1.0 / n as f64));
-        assert_eq!(c.karp_flatt(4), None, "needs an n=1 baseline");
-        assert_eq!(sample_curve().karp_flatt(1), None);
-    }
-
-    #[test]
     fn log_ladder_spans_the_range_strictly_increasing() {
         for (max_n, points) in [
             (1usize, 2usize),
@@ -469,17 +363,6 @@ mod tests {
         // With more points than decades·density the ladder degenerates to
         // the full range — small sweeps lose nothing to log mode.
         assert_eq!(log_spaced_ns(8, 64), vec![1, 2, 3, 4, 5, 6, 7, 8]);
-    }
-
-    #[test]
-    fn from_fn_log_matches_dense_on_sampled_points() {
-        let time = |n: usize| Seconds::new(1.0 / n as f64 + 0.05 * (n as f64).log2());
-        let dense = SpeedupCurve::from_fn(1..=1024, time);
-        let log = SpeedupCurve::from_fn_log(1024, 30, time);
-        for (&n, &t) in log.ns().iter().zip(log.times()) {
-            assert_eq!(dense.time_at(n), Some(t), "n={n}");
-        }
-        assert_eq!(log.baseline(), dense.baseline());
     }
 
     #[test]

@@ -544,17 +544,6 @@ impl StragglerModel {
         }
     }
 
-    /// Expected value of a single delay draw.
-    pub fn mean_delay(&self) -> f64 {
-        self.assert_valid();
-        match *self {
-            StragglerModel::Deterministic => 0.0,
-            StragglerModel::BoundedJitter { spread } => spread / 2.0,
-            StragglerModel::ExponentialTail { mean } => mean,
-            StragglerModel::LogNormalTail { mu, sigma } => (mu + sigma * sigma / 2.0).exp(),
-        }
-    }
-
     /// CDF of one delay draw, `P(X ≤ x)`.
     pub fn delay_cdf(&self, x: f64) -> f64 {
         match *self {

@@ -219,12 +219,6 @@ impl FlopsRate {
 }
 
 impl Bits {
-    /// Construct from a byte count.
-    #[inline]
-    pub fn from_bytes(bytes: f64) -> Self {
-        Self::new(bytes * 8.0)
-    }
-
     /// Volume of `count` parameters of `bits_per_param` bits each
     /// (the paper uses 32- and 64-bit parameters).
     #[inline]

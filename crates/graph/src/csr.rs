@@ -163,12 +163,6 @@ impl CsrGraph {
         }
         Ok(())
     }
-
-    /// Approximate in-memory footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<u64>()
-            + self.targets.len() * std::mem::size_of::<VertexId>()
-    }
 }
 
 #[cfg(test)]
@@ -237,10 +231,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_endpoint_panics() {
         let _ = CsrGraph::from_edges(2, &[(0, 5)]);
-    }
-
-    #[test]
-    fn memory_estimate_positive() {
-        assert!(small().memory_bytes() > 0);
     }
 }

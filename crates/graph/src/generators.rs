@@ -205,6 +205,31 @@ mod tests {
         StdRng::seed_from_u64(20_250_613)
     }
 
+    /// Hop distances from `source`, `u32::MAX` where unreachable.
+    fn bfs(g: &CsrGraph, source: VertexId) -> Vec<u32> {
+        let mut dist = vec![u32::MAX; g.vertices()];
+        let mut queue = std::collections::VecDeque::from([source]);
+        dist[source as usize] = 0;
+        while let Some(u) = queue.pop_front() {
+            for &v in g.neighbors(u) {
+                if dist[v as usize] == u32::MAX {
+                    dist[v as usize] = dist[u as usize] + 1;
+                    queue.push_back(v);
+                }
+            }
+        }
+        dist
+    }
+
+    /// Share of all degree mass held by the top 1 % of vertices.
+    fn top1pct_mass(g: &CsrGraph) -> f64 {
+        let mut degrees = g.degree_sequence();
+        degrees.sort_unstable_by(|a, b| b.cmp(a));
+        let top = (degrees.len() / 100).max(1);
+        let mass = |ds: &[u32]| ds.iter().map(|&d| f64::from(d)).sum::<f64>();
+        mass(&degrees[..top]) / mass(&degrees)
+    }
+
     #[test]
     fn gnm_has_exact_edges_no_loops() {
         let g = gnm(100, 500, &mut rng());
@@ -254,6 +279,40 @@ mod tests {
     }
 
     #[test]
+    fn dns_like_graph_has_giant_component_and_heavy_tail() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let spec = DnsGraphSpec {
+            vertices: 5000,
+            edges: 30_000,
+            max_degree: 800,
+        };
+        let g = dns_like(spec, &mut rng);
+        // Nearly everything is connected to the hub (avg degree 12).
+        let hub = (0..g.vertices() as VertexId)
+            .max_by_key(|&v| g.degree(v))
+            .unwrap();
+        let reached = bfs(&g, hub).iter().filter(|&&d| d != u32::MAX).count();
+        assert!(reached > 4500, "giant component of {reached}");
+        assert!(g.max_degree() > 400);
+        let mass = top1pct_mass(&g);
+        assert!(mass > 0.10, "power-law mass concentration, got {mass:.3}");
+        let mut degrees = g.degree_sequence();
+        degrees.sort_unstable();
+        assert!(
+            f64::from(degrees[degrees.len() / 2]) < g.avg_degree(),
+            "right-skewed distribution"
+        );
+    }
+
+    #[test]
+    fn uniform_graph_has_flat_tail() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let g = gnm(5000, 30_000, &mut rng);
+        let mass = top1pct_mass(&g);
+        assert!(mass < 0.05, "uniform graphs have no hubs, got {mass:.3}");
+    }
+
+    #[test]
     fn dns_specs_share_avg_degree() {
         let full = DnsGraphSpec::full().avg_degree();
         for spec in [
@@ -285,6 +344,8 @@ mod tests {
         let g = ring(17);
         assert!(g.degree_sequence().iter().all(|&d| d == 2));
         assert_eq!(g.edges(), 17);
+        // One cycle, not several: the far side is 8 hops away.
+        assert_eq!(bfs(&g, 0).iter().max(), Some(&8));
     }
 
     #[test]
@@ -293,6 +354,8 @@ mod tests {
         assert_eq!(g.edges(), 9);
         assert_eq!(g.degree(0), 1);
         assert_eq!(g.degree(5), 2);
+        // Connected with V − 1 edges, and end to end in 9 hops.
+        assert_eq!(bfs(&g, 0), (0..10).collect::<Vec<u32>>());
     }
 
     #[test]
@@ -304,6 +367,8 @@ mod tests {
         // Corner degree 2, interior degree 4.
         assert_eq!(g.degree(0), 2);
         assert_eq!(g.degree(5), 4);
+        // Connected, with the far corner at the Manhattan distance 2 + 3.
+        assert_eq!(bfs(&g, 0).iter().max(), Some(&5));
     }
 
     #[test]
@@ -319,6 +384,8 @@ mod tests {
         assert_eq!(g.edges(), 14);
         assert_eq!(g.degree(0), 2);
         assert_eq!(g.degree(14), 1);
+        // Connected with V − 1 edges: a tree, three levels below the root.
+        assert_eq!(bfs(&g, 0).iter().max(), Some(&3));
     }
 
     #[test]

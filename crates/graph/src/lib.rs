@@ -33,13 +33,9 @@
 
 pub mod csr;
 pub mod generators;
-pub mod gibbs;
 pub mod mrf;
-pub mod mrf_builders;
-pub mod pargibbs;
 pub mod partition;
 pub mod sampling;
-pub mod traversal;
 
 pub use csr::{CsrGraph, VertexId};
 pub use partition::{Partition, PartitionStats};

@@ -116,15 +116,6 @@ impl Partition {
     pub fn owner(&self, v: VertexId) -> u32 {
         self.assignment[v as usize]
     }
-
-    /// Number of vertices per worker.
-    pub fn vertex_counts(&self) -> Vec<u64> {
-        let mut counts = vec![0u64; self.workers];
-        for &w in &self.assignment {
-            counts[w as usize] += 1;
-        }
-        counts
-    }
 }
 
 /// Exact per-partition statistics of a partitioned graph.
@@ -232,33 +223,6 @@ impl PartitionStats {
     }
 }
 
-/// Exact `max_i(E_i)` per worker count `n = 1..=max_n` under a given
-/// partitioning strategy, averaged over `trials` random draws (one trial
-/// for the deterministic strategies). This is the "measured" counterpart of
-/// the paper's Monte-Carlo estimate.
-pub fn max_edges_by_workers<R: Rng + ?Sized>(
-    graph: &CsrGraph,
-    max_n: usize,
-    trials: usize,
-    rng: &mut R,
-) -> Vec<f64> {
-    assert!(max_n >= 1 && trials >= 1);
-    (1..=max_n)
-        .map(|n| {
-            if n == 1 {
-                return graph.edges() as f64;
-            }
-            let sum: f64 = (0..trials)
-                .map(|_| {
-                    let p = Partition::random(graph.vertices(), n, rng);
-                    PartitionStats::compute(graph, &p).max_incident_edges() as f64
-                })
-                .sum();
-            sum / trials as f64
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,12 +234,21 @@ mod tests {
         StdRng::seed_from_u64(7)
     }
 
+    /// Number of vertices each worker owns.
+    fn vertex_counts(p: &Partition) -> Vec<u64> {
+        let mut counts = vec![0u64; p.workers()];
+        for &w in &p.assignment {
+            counts[w as usize] += 1;
+        }
+        counts
+    }
+
     #[test]
     fn random_partition_covers_all_vertices() {
         let p = Partition::random(1000, 8, &mut rng());
-        assert_eq!(p.vertex_counts().iter().sum::<u64>(), 1000);
+        assert_eq!(vertex_counts(&p).iter().sum::<u64>(), 1000);
         assert!(
-            p.vertex_counts().iter().all(|&c| c > 0),
+            vertex_counts(&p).iter().all(|&c| c > 0),
             "all workers used at this size"
         );
     }
@@ -285,7 +258,7 @@ mod tests {
         let a = Partition::hashed(10_000, 16);
         let b = Partition::hashed(10_000, 16);
         assert_eq!(a, b);
-        let counts = a.vertex_counts();
+        let counts = vertex_counts(&a);
         let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
         assert!(*max < 2 * *min, "hash balance: {counts:?}");
     }
@@ -314,6 +287,8 @@ mod tests {
             s.incident_edges.iter().sum::<u64>(),
             g.edges() + s.cut_edges
         );
+        // Spreading over 7 workers cuts the heaviest load well below E.
+        assert!(s.max_incident_edges() < g.edges() / 3);
     }
 
     #[test]
@@ -371,16 +346,6 @@ mod tests {
         let occupied = s.degree_sums.iter().filter(|&&d| d > 0).count();
         assert!(s.replication_factor() <= (occupied - 1) as f64 + 1e-12);
         assert!(s.replication_factor() > 0.0);
-    }
-
-    #[test]
-    fn max_edges_by_workers_decreasing_overall() {
-        let g = gnm(2000, 12_000, &mut rng());
-        let series = max_edges_by_workers(&g, 8, 3, &mut rng());
-        assert_eq!(series.len(), 8);
-        assert_eq!(series[0], g.edges() as f64);
-        // More workers → max load shrinks (not necessarily strictly).
-        assert!(series[7] < series[0] / 3.0);
     }
 
     #[test]

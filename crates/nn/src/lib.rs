@@ -11,7 +11,7 @@
 //! * [`network`] — composable cost graphs with Inception-style parallel
 //!   branches and per-layer cost tables;
 //! * [`zoo`] — the Table I configurations ([`zoo::mnist_fc`],
-//!   [`zoo::inception_v3`]) plus classics;
+//!   [`zoo::inception_v3`]) plus the classics of the `ext-zoo` exhibit;
 //! * [`tensor`] / [`train`] — a real, runnable mini-MLP trainer proving the
 //!   modelled data-parallel gradient-descent schedule corresponds to an
 //!   actual computation (sharded gradients == single-node batch update).

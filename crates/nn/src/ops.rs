@@ -261,11 +261,6 @@ pub mod dsl {
         Op::Dense { out, bias: true }
     }
 
-    /// Dense layer without bias.
-    pub fn dense_nobias(out: usize) -> Op {
-        Op::Dense { out, bias: false }
-    }
-
     /// Square convolution without bias (the common case: batch-norm nets).
     pub fn conv(out_channels: usize, k: usize, stride: usize, padding: Padding) -> Op {
         Op::Conv2d {
@@ -340,11 +335,11 @@ mod tests {
         assert_eq!(op.forward_flops(input), 2 * 784 * 2500);
         assert_eq!(op.train_madds(input), 3 * 784 * 2500);
         assert_eq!(op.out_shape(input), Shape::Flat(2500));
-    }
-
-    #[test]
-    fn dense_nobias_params() {
-        assert_eq!(dense_nobias(10).params(Shape::Flat(500)), 5000);
+        let no_bias = Op::Dense {
+            out: 2500,
+            bias: false,
+        };
+        assert_eq!(no_bias.params(input), 784 * 2500);
     }
 
     #[test]

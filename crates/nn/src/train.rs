@@ -222,37 +222,6 @@ impl MlpTrainer {
         loss
     }
 
-    /// One epoch of mini-batch SGD: the dataset is processed in
-    /// consecutive mini-batches of `batch_size` rows (the last batch may
-    /// be smaller), with a parameter update after each. Returns the mean
-    /// pre-update loss across batches.
-    ///
-    /// This is the "mini-batch SGD uses a random mini-batch of examples"
-    /// variant of the paper (callers shuffle the data between epochs for
-    /// the randomness).
-    pub fn train_epoch_minibatch(
-        &mut self,
-        x: &Matrix,
-        labels: &Matrix,
-        batch_size: usize,
-        lr: f32,
-    ) -> f32 {
-        assert!(batch_size >= 1, "batch size must be positive");
-        assert_eq!(x.rows(), labels.rows());
-        let mut total_loss = 0.0;
-        let mut batches = 0;
-        let mut start = 0;
-        while start < x.rows() {
-            let len = batch_size.min(x.rows() - start);
-            let xs = slice_rows(x, start, len);
-            let ys = slice_rows(labels, start, len);
-            total_loss += self.train_step(&xs, &ys, lr);
-            batches += 1;
-            start += len;
-        }
-        total_loss / batches as f32
-    }
-
     /// Data-parallel batch gradient descent step: the batch is split into
     /// `workers` contiguous shards, each shard's gradient is computed
     /// independently (in a real deployment, on its own node), the master
@@ -452,39 +421,6 @@ mod tests {
                 row += 1;
             }
         }
-    }
-
-    #[test]
-    fn minibatch_epoch_learns_faster_per_pass() {
-        // On a simple separable problem, several small updates per pass
-        // beat one big batch update at the same learning rate.
-        let mut r = rng();
-        let (x, y) = synthetic_blobs(120, 6, 3, &mut r);
-        let reference = MlpTrainer::new(&[6, 16, 3], &mut r);
-        let mut batch = reference.clone();
-        let mut minibatch = reference.clone();
-        for _ in 0..5 {
-            batch.train_step(&x, &y, 0.3);
-            minibatch.train_epoch_minibatch(&x, &y, 20, 0.3);
-        }
-        assert!(
-            minibatch.loss(&x, &y) < batch.loss(&x, &y),
-            "minibatch {} vs batch {}",
-            minibatch.loss(&x, &y),
-            batch.loss(&x, &y)
-        );
-    }
-
-    #[test]
-    fn minibatch_with_oversized_batch_equals_batch_gd() {
-        let mut r = rng();
-        let (x, y) = synthetic_blobs(30, 4, 2, &mut r);
-        let reference = MlpTrainer::new(&[4, 8, 2], &mut r);
-        let mut a = reference.clone();
-        let mut b = reference.clone();
-        a.train_step(&x, &y, 0.2);
-        b.train_epoch_minibatch(&x, &y, 1000, 0.2);
-        assert!((a.loss(&x, &y) - b.loss(&x, &y)).abs() < 1e-6);
     }
 
     #[test]

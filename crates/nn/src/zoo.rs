@@ -1,5 +1,6 @@
-//! Model zoo: the network configurations of the paper's Table I, plus a few
-//! classics used by the examples.
+//! Model zoo: the network configurations of the paper's Table I, plus the
+//! classics (AlexNet, VGG-16, ResNet-50) that the `ext-zoo` exhibit sets
+//! beside them.
 //!
 //! | Network (task) | Parameters | Computations (Table I) |
 //! |---|---|---|
@@ -40,63 +41,6 @@ pub fn mnist_fc() -> Network {
             sigmoid(),
             dense(10),
             softmax(),
-        ]),
-    )
-}
-
-/// A multi-layer perceptron with sigmoid hidden activations and a softmax
-/// output — the general shape behind [`mnist_fc`].
-pub fn mlp(input: usize, hidden: &[usize], output: usize) -> Network {
-    let mut ops = Vec::with_capacity(hidden.len() * 2 + 2);
-    for &h in hidden {
-        ops.push(dense(h));
-        ops.push(sigmoid());
-    }
-    ops.push(dense(output));
-    ops.push(softmax());
-    Network::new(
-        format!("mlp-{input}-{output}"),
-        Shape::Flat(input),
-        chain(ops),
-    )
-}
-
-/// Logistic regression as a degenerate one-layer network — the
-/// click-through-rate-prediction workload of the paper's introduction.
-pub fn logistic_regression(features: usize) -> Network {
-    Network::new(
-        format!("logreg-{features}"),
-        Shape::Flat(features),
-        chain([dense(1), sigmoid()]),
-    )
-}
-
-/// LeNet-5-style convolutional network for 28×28 grayscale input; a small
-/// convolutional example for tests and demos.
-pub fn lenet5() -> Network {
-    Network::new(
-        "lenet5",
-        Shape::image(28, 28, 1),
-        seq([
-            chain([
-                conv(6, 5, 1, Padding::Same),
-                relu(),
-                maxpool(2, 2, Padding::Valid),
-            ]),
-            chain([
-                conv(16, 5, 1, Padding::Valid),
-                relu(),
-                maxpool(2, 2, Padding::Valid),
-            ]),
-            chain([
-                Op::Flatten,
-                dense(120),
-                relu(),
-                dense(84),
-                relu(),
-                dense(10),
-                softmax(),
-            ]),
         ]),
     )
 }
@@ -504,27 +448,6 @@ mod tests {
             inception_c().out_shape(Shape::image(8, 8, 2048)),
             Shape::image(8, 8, 2048)
         );
-    }
-
-    #[test]
-    fn lenet_is_valid_and_small() {
-        let net = lenet5();
-        assert_eq!(net.output(), Shape::Flat(10));
-        assert!(net.params() < 100_000);
-    }
-
-    #[test]
-    fn logistic_regression_params() {
-        let net = logistic_regression(1000);
-        assert_eq!(net.params(), 1001);
-        assert_eq!(net.output(), Shape::Flat(1));
-    }
-
-    #[test]
-    fn mlp_builder_matches_mnist_fc() {
-        let generic = mlp(784, &[2500, 2000, 1500, 1000, 500], 10);
-        assert_eq!(generic.params(), mnist_fc().params());
-        assert_eq!(generic.forward_madds(), mnist_fc().forward_madds());
     }
 
     #[test]

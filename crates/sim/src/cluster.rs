@@ -70,11 +70,6 @@ impl SimCluster {
         self.speed_factors[node] = factor;
     }
 
-    /// A node's compute-speed multiplier.
-    pub fn speed_factor(&self, node: NodeId) -> f64 {
-        self.speed_factors[node]
-    }
-
     /// Number of workers (excluding the master).
     pub fn workers(&self) -> usize {
         self.nodes.len() - 1
@@ -278,7 +273,6 @@ mod tests {
         let slow = c.compute(2, 1e9, Seconds::zero());
         assert!((fast.as_secs() - 1.0).abs() < 1e-12);
         assert!((slow.as_secs() - 2.0).abs() < 1e-12);
-        assert_eq!(c.speed_factor(2), 0.5);
     }
 
     #[test]

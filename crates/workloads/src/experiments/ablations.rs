@@ -183,49 +183,6 @@ pub fn partitioning(graph: &CsrGraph, ns: &[usize], seed: u64) -> ExperimentResu
     )
 }
 
-/// Network ablation for the BP workload: the Fig 4 experiment assumes
-/// shared memory (`t_cm ≈ 0`); this sweep prices the *same* partitioned
-/// workload on distributed clusters, where the paper's linear replica
-/// exchange `t_cm = 32/B·r·V·S` (with the replication factor measured
-/// from the actual partition) throttles scaling.
-pub fn bp_network(graph: &CsrGraph, ns: &[usize], seed: u64) -> ExperimentResult {
-    use mlscale_core::units::{BitsPerSec, FlopsRate};
-    let flops = FlopsRate::giga(7.6);
-    let mut result = ExperimentResult::new(
-        "ablation-bp-network",
-        "BP speedup: shared memory vs networked replica exchange (measured r)",
-    );
-    let mut optima = Vec::new();
-    for (name, bandwidth) in [
-        ("shared-memory", BitsPerSec::new(f64::INFINITY)),
-        ("10 Gbit/s", BitsPerSec::giga(10.0)),
-        ("1 Gbit/s", BitsPerSec::giga(1.0)),
-    ] {
-        let workload = crate::bp::BpWorkload {
-            graph,
-            states: 2,
-            flops,
-            bandwidth,
-            overhead: mlscale_sim::overhead::OverheadModel::None,
-            trials: 3,
-            iterations: 3,
-            seed,
-        };
-        let curve = workload.simulated_curve(ns);
-        let (n_opt, s_opt) = curve.optimal();
-        optima.push((name, n_opt, s_opt));
-        result = result
-            .with_series(Series::new(name, curve.speedups()))
-            .with_stat(format!("optimal n ({name})"), n_opt as f64, None)
-            .with_stat(format!("peak speedup ({name})"), s_opt, None);
-    }
-    result.with_note(
-        "the shared-memory assumption is what lets Fig 4 scale: on a network \
-         the linear replica exchange is a constant floor per iteration that \
-         parallel computation cannot amortise",
-    )
-}
-
 /// The Schreiber point: a fixed Amdahl serial fraction caps speedup at
 /// `1/serial`, but if the framework overhead declines with `n` the cap
 /// disappears — "one could make it decline with increasing n, so that the
@@ -380,31 +337,6 @@ mod tests {
         // Replication factor grows with n.
         let repl = r.series("replication r (random)").unwrap();
         assert!(repl.at(16).unwrap() > repl.at(2).unwrap());
-    }
-
-    #[test]
-    fn bp_network_ablation_orders_bandwidths() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let g = dns_like(
-            DnsGraphSpec {
-                vertices: 4000,
-                edges: 24_000,
-                max_degree: 600,
-            },
-            &mut rng,
-        );
-        let r = bp_network(&g, &[1, 2, 4, 8, 16], 13);
-        let peak = |name: &str| {
-            r.stats
-                .iter()
-                .find(|s| s.label == format!("peak speedup ({name})"))
-                .unwrap()
-                .value
-        };
-        assert!(peak("shared-memory") > peak("10 Gbit/s"));
-        assert!(peak("10 Gbit/s") >= peak("1 Gbit/s"));
-        // On 1 Gbit/s the replica floor dominates: barely scalable.
-        assert!(peak("1 Gbit/s") < 0.6 * peak("shared-memory"));
     }
 
     #[test]

@@ -12,10 +12,9 @@ use mlscale_core::hardware::{presets, ClusterSpec, LinkSpec, NodeSpec};
 use mlscale_core::metrics::Comparison;
 use mlscale_core::models::asyncgd::AsyncGdModel;
 use mlscale_core::models::gd::{GdComm, GradientDescentModel};
-use mlscale_core::models::graphinf::bp_cost_per_edge;
+use mlscale_core::models::graphinf::{bp_cost_per_edge, gibbs_cost_per_edge};
 use mlscale_core::planner::{Planner, Pricing};
 use mlscale_core::units::{Bits, BitsPerSec, FlopCount, FlopsRate, Seconds};
-use mlscale_graph::gibbs::gibbs_cost_per_edge;
 use mlscale_sim::overhead::OverheadModel;
 use mlscale_sim::paramserver::{simulate_async, ParamServerConfig};
 
