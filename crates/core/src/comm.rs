@@ -42,10 +42,9 @@
 
 use crate::hardware::ClusterSpec;
 use crate::units::{Bits, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// Which communication architecture moves the gradients/parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GdComm {
     /// The paper's generic model (Section IV-A): broadcast + aggregation
     /// each organised as a binary tree, `t_cm = 2·(bits·W/B)·log₂ n` in

@@ -8,10 +8,9 @@
 //! are provided in [`presets`].
 
 use crate::units::{BitsPerSec, FlopsRate, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// A homogeneous compute node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeSpec {
     /// Peak floating-point rate of the node.
     pub peak: FlopsRate,
@@ -41,7 +40,7 @@ impl NodeSpec {
 }
 
 /// A network link (or the shared communication medium of the cluster).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
     /// Sustained bandwidth `B`.
     pub bandwidth: BitsPerSec,
@@ -69,7 +68,7 @@ impl LinkSpec {
 /// Two-tier rack topology: workers are grouped into racks of
 /// `nodes_per_rack`, joined inside a rack by the cluster's base link and
 /// between racks by a (typically slower, higher-latency) `uplink`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RackSpec {
     /// Workers per rack (the intra-rack collective's fan-in).
     pub nodes_per_rack: usize,
@@ -98,7 +97,7 @@ impl RackSpec {
 /// point, so `ClusterSpec` intentionally does not store it; it describes
 /// what one node and one link look like. With a rack topology, `link` is
 /// the *intra-rack* link and `rack.uplink` joins the racks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterSpec {
     /// Per-node compute capability.
     pub node: NodeSpec,
@@ -175,7 +174,7 @@ impl ClusterSpec {
 /// a cluster and a worker count to per-worker speed multipliers (1.0 =
 /// nominal), consumed by the straggler-aware models
 /// ([`crate::straggler`]) and by the discrete-event simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Heterogeneity {
     /// All workers run at nominal speed (the paper's assumption).
     Uniform,

@@ -6,8 +6,6 @@
 //! and 25.4 % / 26 % / 19.6 % / 23.5 % for the four belief-propagation
 //! graph sizes.
 
-use serde::{Deserialize, Serialize};
-
 /// Mean absolute percentage error between predictions and reference values:
 /// `100/N · Σ |pred − ref| / |ref|`.
 ///
@@ -34,7 +32,7 @@ pub fn mape(predicted: &[f64], reference: &[f64]) -> f64 {
 
 /// A point-by-point model-vs-measurement comparison over worker counts,
 /// as printed under each figure of the paper.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Comparison {
     /// Worker counts the two series share.
     pub ns: Vec<usize>,

@@ -31,10 +31,9 @@
 //! trade-off the paper highlights.
 
 use crate::units::{Bits, BitsPerSec, FlopCount, FlopsRate, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// Analytic asynchronous-SGD model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AsyncGdModel {
     /// Gradient computation per update.
     pub grad_work: FlopCount,

@@ -19,10 +19,9 @@ pub use crate::comm::GdComm;
 use crate::hardware::ClusterSpec;
 use crate::speedup::SpeedupCurve;
 use crate::units::{Bits, FlopCount, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// Scalability model of synchronous data-parallel gradient descent.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GradientDescentModel {
     /// Computation cost `C` of the gradient on one data point
     /// (multiply-adds; for a fully-connected ANN this is `6·W`).

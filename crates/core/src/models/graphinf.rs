@@ -28,7 +28,6 @@
 use crate::speedup::SpeedupCurve;
 use crate::units::{BitsPerSec, FlopCount, FlopsRate, Seconds};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Per-edge computation cost of loopy belief propagation with `S` states:
 /// `c(S) = S + 2·(S + S²)` (paper, Section V-B). One belief update plus a
@@ -100,7 +99,7 @@ pub fn max_edges_monte_carlo<R: Rng + ?Sized>(
 }
 
 /// How `max_i(E_i)` is obtained for each worker count.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum EdgeLoad {
     /// Balanced ideal: `max_i(E_i) = E/n` (no skew; lower bound).
     Balanced,
@@ -110,7 +109,7 @@ pub enum EdgeLoad {
 }
 
 /// Scalability model of iterative graphical-model inference.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GraphInferenceModel {
     /// Number of vertices `V`.
     pub vertices: f64,

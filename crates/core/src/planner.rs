@@ -11,10 +11,9 @@
 //! node (provisioning).
 
 use crate::units::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// Pricing of the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pricing {
     /// Price of one node for one hour (any currency unit).
     pub node_hour: f64,
@@ -39,7 +38,7 @@ impl Pricing {
 }
 
 /// A provisioning recommendation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Plan {
     /// Recommended worker count.
     pub n: usize,

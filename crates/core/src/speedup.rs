@@ -8,7 +8,6 @@
 //! `N = argmax s(n)`."
 
 use crate::units::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// Largest `max_n` the dense `1..=max_n` evaluation paths accept.
 ///
@@ -62,7 +61,7 @@ pub fn log_spaced_ns(max_n: usize, points: usize) -> Vec<usize> {
 ///
 /// The curve is stored as explicit `(n, t(n))` samples so it can represent
 /// analytic models, simulator output and external measurements uniformly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpeedupCurve {
     /// Worker counts, strictly increasing.
     ns: Vec<usize>,

@@ -53,13 +53,12 @@ use crate::speedup::{log_spaced_ns, SpeedupCurve, DENSE_EVAL_MAX_N};
 use crate::units::Seconds;
 use rand::Rng;
 use rand_distr::{Distribution, Exp, LogNormal};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Distribution of the per-worker, per-superstep straggler delay added on
 /// top of a worker's deterministic compute time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StragglerModel {
     /// No stochastic delay: the paper's deterministic framework.
     Deterministic,

@@ -15,14 +15,13 @@
 //! assert!(t.as_secs() > 0.0);
 //! ```
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 macro_rules! quantity {
     ($(#[$meta:meta])* $name:ident, $unit:expr) => {
         $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
         pub struct $name(f64);
 
         impl $name {

@@ -6,15 +6,13 @@
 //! ids are `u32` throughout (4.3 billion vertices is far beyond the paper's
 //! scale).
 
-use serde::{Deserialize, Serialize};
-
 /// Vertex identifier.
 pub type VertexId = u32;
 
 /// An undirected graph in CSR form. Every undirected edge `{u, v}` is
 /// stored as two directed arcs (`u → v` and `v → u`); self-loops are stored
 /// as a single arc and counted as one edge.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsrGraph {
     /// `offsets[v]..offsets[v+1]` indexes `targets` for vertex `v`.
     offsets: Vec<u64>,

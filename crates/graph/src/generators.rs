@@ -14,7 +14,6 @@
 use crate::csr::{CsrGraph, VertexId};
 use crate::sampling::{zipf_weights, AliasTable};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Erdős–Rényi `G(n, m)`: exactly `m` edges sampled uniformly (self-loops
 /// excluded; duplicate edges allowed at large scale, where they are
@@ -57,7 +56,7 @@ pub fn chung_lu<R: Rng + ?Sized>(weights: &[f64], edges: u64, rng: &mut R) -> Cs
 
 /// Published statistics of the paper's DNS traffic graph and its scaled
 /// variants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DnsGraphSpec {
     /// Number of vertices `V`.
     pub vertices: usize,

@@ -9,10 +9,9 @@
 //! oracle: BP is exact on trees).
 
 use crate::csr::{CsrGraph, VertexId};
-use serde::{Deserialize, Serialize};
 
 /// Pairwise potential families.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PairwisePotential {
     /// Potts smoothing: `ψ(x, y) = same` when `x == y`, else `diff`.
     /// The classic image-denoising / community coupling.
@@ -115,7 +114,7 @@ impl PairwiseMrf {
 }
 
 /// Convergence / iteration report of a BP run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BpRun {
     /// Iterations executed.
     pub iterations: usize,

@@ -5,10 +5,9 @@
 
 use crate::csr::{CsrGraph, VertexId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// An assignment of every vertex to one of `n` workers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     /// `assignment[v]` is the worker that owns vertex `v`.
     assignment: Vec<u32>,
@@ -119,7 +118,7 @@ impl Partition {
 }
 
 /// Exact per-partition statistics of a partitioned graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionStats {
     /// Per-worker degree sums — the paper's raw `E_i^rnd` (intra-worker
     /// edges counted twice).

@@ -4,10 +4,9 @@
 
 use crate::ops::Op;
 use crate::shape::Shape;
-use serde::{Deserialize, Serialize};
 
 /// A node of a network cost graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Node {
     /// A primitive operation.
     Op(Op),
@@ -149,7 +148,7 @@ pub fn chain(ops: impl IntoIterator<Item = Op>) -> Node {
 
 /// A complete network: an input shape plus a cost graph, with summary
 /// accessors and a per-layer cost table.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Network {
     /// Human-readable name (e.g. "mnist-fc", "inception-v3").
     pub name: String,

@@ -12,11 +12,10 @@
 //!   costs three passes: `train_madds = 3 · forward_madds`.
 
 use crate::shape::{conv_out, Padding, Shape};
-use serde::{Deserialize, Serialize};
 
 /// Elementwise activation function kinds (cost: one op per element, no
 /// parameters — negligible next to the matrix work, but tracked).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
     /// Logistic sigmoid.
     Sigmoid,
@@ -29,7 +28,7 @@ pub enum Activation {
 }
 
 /// Pooling flavours.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PoolKind {
     /// Max pooling.
     Max,
@@ -38,7 +37,7 @@ pub enum PoolKind {
 }
 
 /// A primitive network operation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Op {
     /// Fully-connected layer `in → out` with optional bias.
     Dense {

@@ -6,10 +6,8 @@
 //! with `/` integer division. [`conv_out`] implements exactly that formula;
 //! [`Padding`] maps the usual `valid`/`same` conventions onto `b`.
 
-use serde::{Deserialize, Serialize};
-
 /// Shape of the data flowing between layers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Shape {
     /// A flat feature vector of the given length.
     Flat(usize),
@@ -62,7 +60,7 @@ impl std::fmt::Display for Shape {
 }
 
 /// Spatial padding convention of a convolution or pooling window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Padding {
     /// No padding: the window stays inside the input (`b = 0`).
     Valid,

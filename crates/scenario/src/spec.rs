@@ -1759,6 +1759,31 @@ mod tests {
     }
 
     #[test]
+    fn minus_zero_max_n_is_zero() {
+        // `-0` is the integer 0, not a negative one: the range rule
+        // refuses it, as it refuses `0`.
+        let e =
+            err_of(r#"{"name": "t", "workload": {"kind": "gd", "preset": "fig2", "max_n": -0}}"#);
+        assert_eq!(e.path, "workload.max_n");
+        assert_eq!(e.message, "must be at least 1");
+    }
+
+    #[test]
+    fn minus_zero_on_an_integer_axis_is_zero() {
+        let spec = parse(
+            r#"{"name": "t",
+                "workload": {"kind": "gd", "preset": "fig2", "max_n": 8,
+                             "straggler": {"kind": "exp", "mean": 1.0}},
+                "sweep": [{"param": "backup_k", "values": [-0, 1]}]}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            spec.sweep[0].values,
+            vec![AxisValue::Int(0), AxisValue::Int(1)]
+        );
+    }
+
+    #[test]
     fn absurd_max_n_without_log_points_named() {
         let e = err_of(
             r#"{"name": "t", "workload": {"kind": "gd", "preset": "fig2", "max_n": 1000000000}}"#,

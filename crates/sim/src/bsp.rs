@@ -19,10 +19,9 @@ use mlscale_core::straggler::StragglerModel;
 use mlscale_core::units::Seconds;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// The communication phase closing a superstep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CommPhase {
     /// No communication (embarrassingly parallel superstep).
     None,
@@ -64,7 +63,7 @@ pub enum CommPhase {
 }
 
 /// One superstep: per-worker compute loads plus a communication phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SuperstepSpec {
     /// `loads[w]` = flops executed by worker `w+1` this superstep.
     pub loads: Vec<f64>,
@@ -84,7 +83,7 @@ impl SuperstepSpec {
 }
 
 /// A BSP program: supersteps repeated for `iterations`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BspProgram {
     /// Supersteps per iteration.
     pub supersteps: Vec<SuperstepSpec>,
@@ -108,7 +107,7 @@ pub struct BspConfig {
 /// worker / speculative execution) mitigation. This is the discrete-event
 /// twin of the analytic order-statistic model in
 /// [`mlscale_core::straggler`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StragglerSim {
     /// Delay distribution sampled once per worker per superstep.
     pub model: StragglerModel,
@@ -136,7 +135,7 @@ impl Default for StragglerSim {
 }
 
 /// Result of simulating a BSP program.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BspReport {
     /// Wall time of each iteration.
     pub iteration_times: Vec<Seconds>,

@@ -24,10 +24,9 @@
 
 use crate::cluster::{NodeId, SimCluster};
 use mlscale_core::units::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// Broadcast patterns: master (node 0) to all workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BroadcastKind {
     /// Master sends to each worker in turn.
     Flat,
@@ -39,7 +38,7 @@ pub enum BroadcastKind {
 }
 
 /// Aggregation patterns: all workers to the master (node 0).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceKind {
     /// Every worker sends directly to the master.
     Flat,

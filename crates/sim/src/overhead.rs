@@ -10,11 +10,10 @@
 use mlscale_core::units::Seconds;
 use rand::Rng;
 use rand_distr::{Distribution, Exp, LogNormal};
-use serde::{Deserialize, Serialize};
 
 /// A distribution of per-task overhead added to each worker's compute
 /// phase in every superstep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OverheadModel {
     /// No overhead: the simulator reproduces the analytic model exactly.
     None,

@@ -16,7 +16,6 @@ use mlscale_core::hardware::ClusterSpec;
 use mlscale_core::units::Seconds;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -38,7 +37,7 @@ pub struct ParamServerConfig {
 }
 
 /// Outcome of an asynchronous run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParamServerReport {
     /// Total simulated time to apply all updates.
     pub total: Seconds,

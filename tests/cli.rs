@@ -903,6 +903,13 @@ fn sweep_rejects_invalid_json_syntax() {
 }
 
 #[test]
+fn sweep_rejects_json_nested_past_the_depth_limit() {
+    // 200 KB of `[` is refused by name at level 129, not by overflowing
+    // the stack.
+    assert_rejected("deep", &"[".repeat(200_000), "deeper than 128 levels");
+}
+
+#[test]
 fn sweep_rejects_missing_file_with_exit_2() {
     let out = mlscale(&["sweep", "/nonexistent/scenario.json"]);
     assert_eq!(out.status.code(), Some(2));

@@ -1,14 +1,17 @@
-//! Property tests for the two parsers that read daemon input: the HTTP
-//! request reader (`mlscale::serve::http::read_request`) and the scenario
-//! walker (`ScenarioSpec::from_json`). Each is fed arbitrary bytes and
-//! randomly spliced copies of valid input. Neither may panic, and whatever
-//! one accepts stays inside the limits it documents.
+//! Property tests for the three parsers that read daemon input: the HTTP
+//! request reader (`mlscale::serve::http::read_request`), the JSON parser
+//! under the spec (`serde_json::value_from_str`) and the scenario walker
+//! (`ScenarioSpec::from_json`). Each is fed arbitrary bytes and randomly
+//! spliced copies of valid input. None may panic, and whatever one accepts
+//! stays inside the limits it documents.
 
 use mlscale::scenario::ScenarioSpec;
 use mlscale::serve::http::{read_request, MAX_BODY_BYTES, MAX_HEADERS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::Value;
+use serde_json::MAX_DEPTH;
 use std::io::BufReader;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -155,6 +158,45 @@ fn scenario_documents() -> &'static [Vec<u8>] {
 
 const JSON_ALPHABET: &[u8] = b"{}[]\",:-+.eE0123456789 \nabcdefghijklmnopqrstuvwxyz_";
 
+/// Wraps `leaf` in `depth` levels, each an array or an object keyed `"k"`
+/// at random, closed in order.
+fn nest(rng: &mut StdRng, depth: usize, leaf: &[u8]) -> Vec<u8> {
+    let objects: Vec<bool> = (0..depth).map(|_| rng.gen_range(0..2) == 0).collect();
+    let mut doc = Vec::with_capacity(leaf.len() + 6 * depth);
+    for &object in &objects {
+        doc.extend_from_slice(if object { br#"{"k":"# } else { b"[" });
+    }
+    doc.extend_from_slice(leaf);
+    doc.extend(
+        objects
+            .iter()
+            .rev()
+            .map(|&object| if object { b'}' } else { b']' }),
+    );
+    doc
+}
+
+/// How many arrays and objects enclose the deepest value in `v`.
+fn depth_of(v: &Value) -> usize {
+    match v {
+        Value::Seq(items) => 1 + items.iter().map(depth_of).max().unwrap_or(0),
+        Value::Map(entries) => 1 + entries.iter().map(|(_, v)| depth_of(v)).max().unwrap_or(0),
+        _ => 0,
+    }
+}
+
+/// Parses `bytes` as JSON: it must not panic or overflow the stack, and
+/// nothing it accepts nests deeper than `MAX_DEPTH`.
+fn parse_json(bytes: &[u8]) {
+    let text = String::from_utf8_lossy(bytes);
+    let parsed = must_not_panic("serde_json::value_from_str", bytes, || {
+        serde_json::value_from_str(&text)
+    });
+    if let Ok(value) = parsed {
+        assert!(depth_of(&value) <= MAX_DEPTH, "accepted {text:?}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5000))]
 
@@ -184,6 +226,58 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3000))]
+
+    /// Arbitrary bytes inside up to 4096 levels of nesting never panic the
+    /// JSON parser or overflow its stack.
+    #[test]
+    fn json_parser_survives_arbitrary_bytes(
+        seed in 0u64..1_000_000,
+        len in 0usize..600,
+        depth in 0usize..=4096,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let leaf: Vec<u8> = (0..len).map(|_| pick_byte(&mut rng, JSON_ALPHABET)).collect();
+        parse_json(&nest(&mut rng, depth, &leaf));
+    }
+
+    /// Random splices of the checked-in scenarios, crossed with each other
+    /// and nested up to twice `MAX_DEPTH` levels deep, never panic the JSON
+    /// parser, and it accepts none nested past `MAX_DEPTH`.
+    #[test]
+    fn json_parser_survives_spliced_scenarios(
+        seed in 0u64..1_000_000,
+        depth in 0usize..=(2 * MAX_DEPTH),
+    ) {
+        let docs = scenario_documents();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let base = &docs[rng.gen_range(0..docs.len())];
+        let donor = &docs[rng.gen_range(0..docs.len())];
+        let leaf = splice(&mut rng, base, donor, JSON_ALPHABET);
+        parse_json(&nest(&mut rng, depth, &leaf));
+    }
+
+    /// A closed document nested `depth` levels deep parses to exactly that
+    /// depth when `depth` is at most `MAX_DEPTH`, and is refused by name
+    /// past it.
+    #[test]
+    fn json_nesting_is_refused_past_max_depth(
+        seed in 0u64..1_000_000,
+        depth in 0usize..=4096,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let doc = nest(&mut rng, depth, b"0");
+        let text = String::from_utf8(doc).expect("nesting is ASCII");
+        match serde_json::value_from_str(&text) {
+            Ok(value) => {
+                prop_assert!(depth <= MAX_DEPTH, "accepted {depth} levels");
+                prop_assert_eq!(depth_of(&value), depth);
+            }
+            Err(e) => {
+                prop_assert!(depth > MAX_DEPTH, "refused {depth} levels: {e}");
+                prop_assert!(e.to_string().contains("deeper than 128 levels"), "{e}");
+            }
+        }
+    }
 
     /// Random splices of the checked-in scenarios, crossed with each
     /// other, never panic the spec walker, and `grid_len` never panics on

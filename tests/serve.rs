@@ -2,7 +2,8 @@
 //! real socket, hit over TCP. Covers byte-identical parity between
 //! `/sweep` responses and `mlscale sweep` output files, every
 //! malformed-spec class from `tests/cli.rs` arriving as a 400 naming
-//! its key path, cache hit/miss semantics, a multi-threaded hammer of
+//! its key path, a too-deeply nested body refused without taking the
+//! daemon down, cache hit/miss semantics, a multi-threaded hammer of
 //! mixed valid/malformed bodies, and refused startups (bad
 //! `MLSCALE_THREADS`, unbindable `--addr`).
 
@@ -312,6 +313,27 @@ fn malformed_specs_get_400_naming_the_key_path() {
             reply.body
         );
     }
+}
+
+#[test]
+fn deeply_nested_body_gets_400_and_the_daemon_serves_on() {
+    let server = Server::spawn("1");
+    // 200 KB of `[`, far inside the body limit: the parser refuses it at
+    // level 129 instead of recursing until the worker's stack overflows
+    // and takes the daemon with it.
+    let reply = post(&server.addr, "/sweep", &"[".repeat(200_000));
+    assert_eq!(reply.status, 400, "{}", reply.body);
+    let parsed: Value = serde_json::from_str(&reply.body)
+        .unwrap_or_else(|e| panic!("400 body is not JSON ({e}): {}", reply.body));
+    assert!(get(&parsed, "error").is_some(), "{}", reply.body);
+    assert!(
+        reply.body.contains("deeper than 128 levels"),
+        "{}",
+        reply.body
+    );
+    let spec = std::fs::read_to_string("scenarios/fig2.json").expect("fig2");
+    let reply = post(&server.addr, "/sweep", &spec);
+    assert_eq!(reply.status, 200, "{}", reply.body);
 }
 
 #[test]
